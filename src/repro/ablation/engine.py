@@ -2,13 +2,13 @@
 
 One (run, scene) cell is one content-addressed
 :class:`~repro.runtime.job.SimulationJob` — the same job model every
-other campaign path uses — so matrices fan out through
-:func:`~repro.runtime.executor.run_jobs` (process pool + persistent
-store; repeated design points across spaces are store hits) or through
-a running ``repro serve`` instance via
-:class:`~repro.service.client.ServiceClient`.  The simulation is
-deterministic, so all three paths (serial, pool, service) produce
-bit-identical reports.
+other sweep uses — and the job list goes to one runner: a
+:class:`~repro.runtime.executor.LocalRunner` (serial, or a process pool
+with a persistent store, where repeated design points across spaces are
+store hits) or a running ``repro serve`` instance's
+:meth:`~repro.service.client.ServiceClient.run_jobs`.  The simulation is
+deterministic, so serial, pooled and served runs produce bit-identical
+reports.
 
 The report itself is pure content: knob space, matrix, per-run metrics,
 importance ranking and Pareto frontier — no timestamps, no host state —
@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 from repro.core.results import SimulationResult
 from repro.errors import AblationError
 from repro.gpu.energy import estimate_energy
+from repro.runtime.executor import LocalRunner, Runner
 from repro.runtime.job import SimulationJob
 from repro.workloads.params import DEFAULT_PARAMS, WorkloadParams
 from repro.ablation.analysis import (
@@ -209,41 +210,16 @@ def execute_matrix(
     params: WorkloadParams = DEFAULT_PARAMS,
     *,
     guard: bool = False,
-    cache=None,
-    service=None,
+    runner: Optional[Runner] = None,
     backend: str = "stepped",
 ) -> AblationReport:
-    """Run every cell and derive importance + Pareto.
+    """Run every cell through ``runner`` and derive importance + Pareto.
 
-    ``cache`` is a :class:`~repro.runtime.cache.CachedWorkloadCache`
-    (or anything exposing ``store``/``policy``/``metrics``): its policy
-    sizes the worker pool and its store absorbs repeats.  ``service``
-    routes the matrix to a running ``repro serve`` instance instead —
-    pass a :class:`~repro.service.client.ServiceClient` or an
-    ``http://host:port`` URL.  With neither, cells run serially
-    in-process.
+    ``runner`` defaults to a serial in-process
+    :class:`~repro.runtime.executor.LocalRunner` with no store.
     """
     jobs = matrix_jobs(matrix, params=params, guard=guard, backend=backend)
-    if service is not None:
-        if isinstance(service, str):
-            from repro.service.client import ServiceClient
-
-            service = ServiceClient.from_url(service)
-        results = service.run_jobs(jobs)
-    else:
-        policy = getattr(cache, "policy", None)
-        if policy is not None:
-            from repro.runtime.executor import run_jobs
-
-            report = run_jobs(
-                jobs, store=getattr(cache, "store", None), policy=policy
-            )
-            metrics = getattr(cache, "metrics", None)
-            if metrics is not None:
-                metrics.merge(report.metrics)
-            results = report.results
-        else:
-            results = [job.run() for job in jobs]
+    results = (runner or LocalRunner())(jobs)
     return _assemble(matrix, params, guard, results, backend=backend)
 
 
@@ -252,14 +228,13 @@ def run_space(
     params: WorkloadParams = DEFAULT_PARAMS,
     *,
     guard: bool = False,
-    cache=None,
-    service=None,
+    runner: Optional[Runner] = None,
     backend: str = "stepped",
 ) -> AblationReport:
     """Expand ``space`` and execute it (the one-call entry point)."""
     return execute_matrix(
         generate_matrix(space), params=params, guard=guard,
-        cache=cache, service=service, backend=backend,
+        runner=runner, backend=backend,
     )
 
 

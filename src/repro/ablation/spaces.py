@@ -35,13 +35,13 @@ def _mechanisms() -> KnobSpace:
 
 
 def _fig8() -> KnobSpace:
-    """Fig. 8: SH stack sizing under the full SMS mechanism set."""
+    """Fig. 8: SH stack sizing with skewing and reallocation off."""
     return KnobSpace(
         name="fig8",
         fixed={
             "rb_stack_entries": 8,
-            "skewed_bank_access": True,
-            "intra_warp_realloc": True,
+            "skewed_bank_access": False,
+            "intra_warp_realloc": False,
         },
         ranges={"sh_stack_entries": [0, 4, 8, 16]},
     )

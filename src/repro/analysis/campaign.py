@@ -5,10 +5,12 @@ drivers use, but returns the raw :class:`SimulationResult` objects and
 offers CSV/JSON/markdown export — the entry point for users running their
 own studies rather than regenerating the paper's figures.
 
-Campaigns execute through :mod:`repro.runtime`: the (scene x config)
-matrix runs on a process pool sized by ``jobs`` and every cell is served
-from the persistent result store when its content key matches a previous
-run.  The simulation is deterministic, so parallel and cached runs are
+A campaign is one :meth:`WorkloadCache.sweep
+<repro.experiments.common.WorkloadCache.sweep>` whose runner comes from
+:func:`~repro.experiments.common.runtime_cache` (a process pool sized by
+``jobs``, every cell served from the persistent result store when its
+content key matches a previous run) or from a running ``repro serve``.
+The simulation is deterministic, so parallel, cached and served runs are
 bit-identical to serial ones.
 """
 
@@ -18,16 +20,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.export import results_markdown, write_csv, write_json
+from repro.analysis.export import (
+    results_by_scene,
+    results_markdown,
+    write_csv,
+    write_json,
+)
 from repro.core.presets import named_config
 from repro.core.results import SimulationResult
-from repro.experiments.common import WorkloadCache, geomean
+from repro.experiments.common import geomean, runtime_cache
 from repro.gpu.config import GPUConfig
-from repro.runtime.executor import ExecutionPolicy, run_jobs
-from repro.runtime.job import SimulationJob
+from repro.runtime.executor import resolve_runner
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.store import ResultStore
-from repro.workloads.lumibench import SCENE_NAMES
 from repro.workloads.params import DEFAULT_PARAMS, WorkloadParams
 
 
@@ -37,16 +41,13 @@ class CampaignResult:
 
     results: List[SimulationResult]
     baseline_label: str
-    #: Executor counters for the run (``None`` on the legacy cache path).
+    #: Executor counters for the run (``None`` when a service ran it).
     metrics: Optional[RuntimeMetrics] = None
 
     def normalized_means(self) -> Dict[str, float]:
-        """Geomean normalized IPC per configuration label."""
-        by_scene: Dict[str, Dict[str, SimulationResult]] = {}
-        for result in self.results:
-            by_scene.setdefault(result.scene_name, {})[result.label] = result
+        """Geomean normalized IPC per (unique) configuration label."""
         ratios: Dict[str, List[float]] = {}
-        for per_scene in by_scene.values():
+        for per_scene in results_by_scene(self.results).values():
             base = per_scene.get(self.baseline_label)
             if base is None or base.ipc == 0:
                 continue
@@ -95,19 +96,11 @@ class Campaign:
             for config in self.configs
         ]
 
-    def run(
-        self,
-        cache: Optional[WorkloadCache] = None,
-        service=None,
-    ) -> CampaignResult:
+    def run(self, service=None) -> CampaignResult:
         """Execute every (scene, config) pair.
 
-        Passing an explicit ``cache`` keeps the legacy serial path (the
-        cache's pre-traced scenes are authoritative); otherwise the sweep
-        goes through the runtime executor and result store.
-
         ``service`` routes the sweep to a running ``repro serve``
-        instance instead: pass a
+        instance instead of the local runner: pass a
         :class:`~repro.service.client.ServiceClient` or a
         ``http://host:port`` URL.  The service path aggregates
         bit-identically to local execution (the simulation is
@@ -115,43 +108,24 @@ class Campaign:
         two are interchangeable; campaign shedding is absorbed by the
         client's backoff-and-resubmit loop.
         """
-        resolved = self._resolved_configs()
-        if cache is not None:
-            results = [
-                cache.simulate(name, config)
-                for name in cache.names
-                for config in resolved
-            ]
-            return CampaignResult(
-                results=results, baseline_label=self.baseline_label
-            )
-        names = list(self.scenes) if self.scenes else list(SCENE_NAMES)
-        sweep = [
-            SimulationJob.from_params(name, config, params=self.params)
-            for name in names
-            for config in resolved
-        ]
-        if service is not None:
-            if isinstance(service, str):
-                from repro.service.client import ServiceClient
-
-                service = ServiceClient.from_url(service)
-            return CampaignResult(
-                results=service.run_jobs(sweep),
-                baseline_label=self.baseline_label,
-            )
-        report = run_jobs(
-            sweep,
-            store=ResultStore(self.cache_dir) if self.use_cache else None,
-            policy=ExecutionPolicy(
-                workers=self.jobs,
-                timeout=self.timeout,
-                retries=self.retries,
-                progress=self.progress,
-            ),
+        cache = runtime_cache(
+            params=self.params,
+            scene_names=self.scenes,
+            jobs=self.jobs,
+            use_cache=self.use_cache,
+            cache_dir=self.cache_dir,
+            timeout=self.timeout,
+            retries=self.retries,
+            progress=self.progress,
         )
+        local = cache.runner
+        cache.runner = resolve_runner(service, local)
+        sweep = cache.sweep(self._resolved_configs())
         return CampaignResult(
-            results=report.results,
+            results=[
+                result for per_scene in sweep.values()
+                for result in per_scene.values()
+            ],
             baseline_label=self.baseline_label,
-            metrics=report.metrics,
+            metrics=local.metrics if service is None else None,
         )

@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence
 
 from repro.core.results import SimulationResult
+from repro.experiments.common import unique_labels
 
 #: Column order for tabular exports.
 COLUMNS = [
@@ -70,6 +71,25 @@ def write_json(results: Sequence[SimulationResult], path) -> Path:
     return path
 
 
+def results_by_scene(
+    results: Sequence[SimulationResult],
+) -> Dict[str, Dict[str, SimulationResult]]:
+    """``{scene: {label: result}}`` in result order.
+
+    Labels follow :func:`~repro.experiments.common.unique_labels`, the
+    rule :meth:`WorkloadCache.sweep` uses, so two configs that share a
+    figure label (say, differing only in ``max_borrows``) keep separate
+    cells instead of one silently overwriting the other.
+    """
+    grouped: Dict[str, List[SimulationResult]] = {}
+    for result in results:
+        grouped.setdefault(result.scene_name, []).append(result)
+    return {
+        scene: dict(zip(unique_labels([r.config for r in cells]), cells))
+        for scene, cells in grouped.items()
+    }
+
+
 def results_markdown(
     results: Sequence[SimulationResult], baseline_label: str = "RB_8"
 ) -> str:
@@ -77,9 +97,7 @@ def results_markdown(
 
     Rows are scenes, columns configurations; cells are normalized IPC.
     """
-    by_scene: Dict[str, Dict[str, SimulationResult]] = {}
-    for result in results:
-        by_scene.setdefault(result.scene_name, {})[result.label] = result
+    by_scene = results_by_scene(results)
     labels: List[str] = []
     for per_scene in by_scene.values():
         for label in per_scene:

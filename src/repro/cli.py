@@ -394,67 +394,61 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_compare_strategies(args) -> int:
-    """The suite-wide strategy head-to-head (``compare --strategies``)."""
-    from repro.experiments import compare_strategies
-    from repro.runtime.cache import runtime_cache
+def _runtime_cache(args, scenes: str = ""):
+    """The workload cache the runtime flags (``--jobs`` ...) describe."""
+    from repro.experiments.common import runtime_cache
     from repro.workloads.params import DEFAULT_PARAMS
 
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    params = (
-        DEFAULT_PARAMS if args.scale == 1.0 else DEFAULT_PARAMS.scaled(args.scale)
-    )
-    scene_names = (
-        [s.strip() for s in args.suite_scenes.split(",") if s.strip()] or None
-    )
-    cache = runtime_cache(
-        params=params,
-        scene_names=scene_names,
+    scene_names = [s.strip() for s in scenes.split(",") if s.strip()]
+    return runtime_cache(
+        params=(
+            DEFAULT_PARAMS if args.scale == 1.0
+            else DEFAULT_PARAMS.scaled(args.scale)
+        ),
+        scene_names=scene_names or None,
         jobs=args.jobs,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         progress=args.progress,
         backend=args.backend,
     )
+
+
+def _print_runtime_summary(runner) -> None:
+    """The local runner's ``[repro]`` metrics line, on stderr."""
+    from repro.runtime.executor import LocalRunner
+
+    if isinstance(runner, LocalRunner) and runner.metrics.jobs_total:
+        print(f"[repro] {runner.metrics.summary()}", file=sys.stderr)
+
+
+def _cmd_compare_strategies(args) -> int:
+    """The suite-wide strategy head-to-head (``compare --strategies``)."""
+    from repro.experiments import compare_strategies
+
+    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    cache = _runtime_cache(args, args.suite_scenes)
     result = compare_strategies.run(
         cache,
         strategies=strategies,
         base_config=named_config(args.base_config),
     )
     print(compare_strategies.render(result))
-    if cache.metrics.jobs_total:
-        print(f"[repro] {cache.metrics.summary()}", file=sys.stderr)
+    _print_runtime_summary(cache.runner)
     return 0
 
 
 def _cmd_experiment(args) -> int:
     from repro.experiments.runner import run_all, run_experiment
-    from repro.runtime.cache import runtime_cache
-    from repro.workloads.params import DEFAULT_PARAMS
 
-    params = (
-        DEFAULT_PARAMS if args.scale == 1.0 else DEFAULT_PARAMS.scaled(args.scale)
-    )
-    scene_names = (
-        [s.strip() for s in args.scenes.split(",") if s.strip()] or None
-    )
-    cache = runtime_cache(
-        params=params,
-        scene_names=scene_names,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        progress=args.progress,
-        backend=args.backend,
-    )
+    cache = _runtime_cache(args, args.scenes)
     if args.name.lower() == "all":
         for name, text in run_all(cache).items():
             print(f"\n===== {name} =====")
             print(text)
     else:
         print(run_experiment(args.name, cache))
-    if cache.metrics.jobs_total:
-        print(f"[repro] {cache.metrics.summary()}", file=sys.stderr)
+    _print_runtime_summary(cache.runner)
     return 0
 
 
@@ -491,7 +485,7 @@ def _cmd_ablate_run(args) -> int:
         space_catalog,
         write_report,
     )
-    from repro.workloads.params import DEFAULT_PARAMS
+    from repro.runtime.executor import resolve_runner
 
     if args.list_spaces:
         catalog = space_catalog()
@@ -502,37 +496,17 @@ def _cmd_ablate_run(args) -> int:
     scenes = [s.strip() for s in args.scenes.split(",") if s.strip()]
     if scenes:
         space = replace(space, scenes=tuple(scenes))
-    params = (
-        DEFAULT_PARAMS if args.scale == 1.0 else DEFAULT_PARAMS.scaled(args.scale)
+    cache = _runtime_cache(args)
+    runner = resolve_runner(args.service or None, cache.runner)
+    report = execute_matrix(
+        generate_matrix(space), params=cache.params, guard=args.guard,
+        runner=runner, backend=args.backend,
     )
-    matrix = generate_matrix(space)
-    cache = None
-    if args.service:
-        report = execute_matrix(
-            matrix, params=params, guard=args.guard, service=args.service,
-            backend=args.backend,
-        )
-    else:
-        from repro.runtime.cache import runtime_cache
-
-        cache = runtime_cache(
-            params=params,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            progress=args.progress,
-            backend=args.backend,
-        )
-        report = execute_matrix(
-            matrix, params=params, guard=args.guard, cache=cache,
-            backend=args.backend,
-        )
     print(render_json(report) if args.format == "json" else render_text(report))
     if args.out:
         path = write_report(report, args.out)
         print(f"report written to {path}", file=sys.stderr)
-    if cache is not None and cache.metrics.jobs_total:
-        print(f"[repro] {cache.metrics.summary()}", file=sys.stderr)
+    _print_runtime_summary(runner)
     return 0
 
 

@@ -32,7 +32,8 @@ def run(cache: Optional[WorkloadCache] = None):
     cache = cache or WorkloadCache()
     space = replace(named_space("mechanisms"), scenes=tuple(cache.names))
     return execute_matrix(
-        generate_matrix(space), params=cache.params, cache=cache
+        generate_matrix(space), params=cache.params, runner=cache.runner,
+        backend=cache.backend,
     )
 
 

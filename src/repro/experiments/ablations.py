@@ -23,8 +23,15 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.presets import baseline_config, sms_config
-from repro.experiments.common import WorkloadCache, geomean, mean_row, normalized_ipc
+from repro.experiments.common import (
+    WorkloadCache,
+    geomean,
+    mean_row,
+    normalized_ipc,
+    unique_labels,
+)
 from repro.experiments.report import format_table
+from repro.gpu.config import GPUConfig
 from repro.trace.restart import restart_trail_trace
 from repro.trace.path import _default_camera
 
@@ -37,48 +44,43 @@ class SweepResult:
     per_scene: Dict[str, Dict[str, float]]
 
 
+def _named_sweep(
+    cache: Optional[WorkloadCache],
+    named: Dict[str, GPUConfig],
+    baseline: GPUConfig,
+) -> SweepResult:
+    """IPC of each ``named`` config, normalized to ``baseline``."""
+    configs = [baseline] + list(named.values())
+    results = (cache or WorkloadCache()).sweep(configs)
+    labels = unique_labels(configs)
+    per_scene = {
+        scene: {name: values[label] for name, label in zip(named, labels[1:])}
+        for scene, values in normalized_ipc(results, labels[0]).items()
+    }
+    return SweepResult(means=mean_row(per_scene), per_scene=per_scene)
+
+
 def borrow_limit_sweep(
     cache: Optional[WorkloadCache] = None, limits=(0, 1, 2, 4, 8)
 ) -> SweepResult:
     """IPC vs the intra-warp reallocation borrow limit."""
-    cache = cache or WorkloadCache()
-    configs = [baseline_config()]
-    for limit in limits:
-        configs.append(
+    named = {
+        f"borrows={limit}":
             sms_config(realloc=limit > 0).with_(max_borrows=max(limit, 1))
-        )
-    results = cache.sweep(configs)
-    per_scene_raw = normalized_ipc(results, "RB_8")
-    labels = list(next(iter(results.values())).keys())[1:]
-    renamed = {
-        scene: {
-            f"borrows={limit}": values[label]
-            for limit, label in zip(limits, labels)
-        }
-        for scene, values in per_scene_raw.items()
+        for limit in limits
     }
-    return SweepResult(means=mean_row(renamed), per_scene=renamed)
+    return _named_sweep(cache, named, baseline_config())
 
 
 def flush_limit_sweep(
     cache: Optional[WorkloadCache] = None, limits=(0, 1, 3, 6)
 ) -> SweepResult:
     """IPC vs the consecutive-flush limit (paper fixes 3)."""
-    cache = cache or WorkloadCache()
-    configs = [baseline_config()]
-    for limit in limits:
-        configs.append(sms_config().with_(max_flushes=max(limit, 0)))
-    results = cache.sweep(configs)
-    per_scene_raw = normalized_ipc(results, "RB_8")
-    labels = list(next(iter(results.values())).keys())[1:]
-    renamed = {
-        scene: {
-            f"flushes={limit}": values[label]
-            for limit, label in zip(limits, labels)
-        }
-        for scene, values in per_scene_raw.items()
+    named = {
+        f"flushes={limit}": sms_config().with_(max_flushes=max(limit, 0))
+        for limit in limits
     }
-    return SweepResult(means=mean_row(renamed), per_scene=renamed)
+    return _named_sweep(cache, named, baseline_config())
 
 
 def skew_scaling(
@@ -90,14 +92,19 @@ def skew_scaling(
     claim predicts consistent reductions across sizes.
     """
     cache = cache or WorkloadCache()
+    configs = [
+        sms_config(sh_entries=size, skewed=skewed, realloc=False)
+        for size in sizes
+        for skewed in (False, True)
+    ]
+    results = cache.sweep(configs)
     reductions: Dict[str, float] = {}
-    for size in sizes:
-        plain = sms_config(sh_entries=size, skewed=False, realloc=False)
-        skewed = sms_config(sh_entries=size, skewed=True, realloc=False)
+    for index, size in enumerate(sizes):
         ratios = []
-        for name in cache.names:
-            before = cache.simulate(name, plain).counters.bank_conflict_delay_cycles
-            after = cache.simulate(name, skewed).counters.bank_conflict_delay_cycles
+        for per_scene in results.values():
+            plain, skewed = list(per_scene.values())[2 * index:2 * index + 2]
+            before = plain.counters.bank_conflict_delay_cycles
+            after = skewed.counters.bank_conflict_delay_cycles
             if before > 0:
                 ratios.append(after / before)
         reductions[f"SH_{size}"] = 1.0 - geomean(ratios) if ratios else 0.0
@@ -111,19 +118,11 @@ def spill_policy_study(cache: Optional[WorkloadCache] = None) -> Dict[str, float
     actually reaching DRAM — the scale-regime question DESIGN.md section 2
     documents.
     """
-    cache = cache or WorkloadCache()
-    configs = [
-        baseline_config(spill_cache_policy=policy)
+    named = {
+        policy: baseline_config(spill_cache_policy=policy)
         for policy in ("uncached", "l2", "l1")
-    ]
-    results = cache.sweep(configs)
-    labels = list(next(iter(results.values())).keys())
-    per_scene = normalized_ipc(results, labels[0])
-    means = mean_row(per_scene)
-    return {
-        policy: means[label]
-        for policy, label in zip(("uncached", "l2", "l1"), labels)
     }
+    return _named_sweep(cache, named, named["uncached"]).means
 
 
 @dataclass
@@ -274,26 +273,21 @@ def size_consistency_study(
     varying workload sizes."  This study measures the SMS-vs-baseline
     speedup per scene at several resolutions and reports the spread.
     """
-    from repro.bvh.api import build_bvh
-    from repro.core.api import time_traces
-    from repro.trace.path import generate_workload
-    from repro.workloads.lumibench import load_scene
+    from repro.workloads.params import WorkloadParams
 
-    base_config = baseline_config()
-    sms = sms_config()
     speedups: Dict[str, Dict[str, float]] = {}
     for resolution in resolutions:
+        params = WorkloadParams(
+            width=resolution, height=resolution, max_bounces=3,
+            complex_width=resolution, complex_height=resolution,
+        )
+        results = WorkloadCache(params=params, scene_names=scene_names).sweep(
+            [baseline_config(), sms_config()]
+        )
         label = f"{resolution}x{resolution}"
         speedups[label] = {}
-        for name in scene_names:
-            scene = load_scene(name)
-            bvh = build_bvh(scene)
-            workload = generate_workload(
-                bvh, width=resolution, height=resolution, max_bounces=3
-            )
-            traces = workload.all_traces
-            base = time_traces(traces, base_config, scene_name=name)
-            fast = time_traces(traces, sms, scene_name=name)
+        for name, per_scene in results.items():
+            base, fast = per_scene.values()
             speedups[label][name] = fast.ipc / base.ipc if base.ipc else 0.0
     return SizeConsistencyResult(speedups=speedups)
 
@@ -307,19 +301,11 @@ def warp_occupancy_sweep(
     into a bandwidth problem; this sweep shows how much of the baseline's
     performance depends on multi-warp overlap.
     """
-    cache = cache or WorkloadCache()
-    configs = [baseline_config(max_warps_per_rt_unit=n) for n in slots]
-    results = cache.sweep(configs)
-    labels = list(next(iter(results.values())).keys())
-    baseline_label = labels[slots.index(4)] if 4 in slots else labels[0]
-    per_scene_raw = normalized_ipc(results, baseline_label)
-    renamed = {
-        scene: {
-            f"warps={n}": values[label] for n, label in zip(slots, labels)
-        }
-        for scene, values in per_scene_raw.items()
+    named = {
+        f"warps={n}": baseline_config(max_warps_per_rt_unit=n) for n in slots
     }
-    return SweepResult(means=mean_row(renamed), per_scene=renamed)
+    baseline = named.get("warps=4", next(iter(named.values())))
+    return _named_sweep(cache, named, baseline)
 
 
 @dataclass

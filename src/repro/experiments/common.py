@@ -1,23 +1,28 @@
 """Shared experiment plumbing.
 
-The expensive phase (path tracing each scene) is configuration-independent,
-so a :class:`WorkloadCache` traces each scene once and every experiment
-reuses the traces across all timing configurations — the same split the
-library API exposes (``trace_scene`` / ``time_traces``).
+Every timing run is a (scene x config) list of content-addressed
+:class:`~repro.runtime.job.SimulationJob` cells handed to one *runner*
+(any callable ``jobs -> results``, see :mod:`repro.runtime.executor`).
+A :class:`WorkloadCache` holds what the drivers share — workload params,
+the scene suite, the timing backend and the runner — and traces scenes
+once for the drivers that read traces directly (``traced()``).
+:func:`runtime_cache` turns user-facing knobs into a cache whose runner
+has a persistent store and a worker pool.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.bvh.api import build_bvh
 from repro.bvh.stats import BVHStats, compute_stats
 from repro.bvh.wide import WideBVH
-from repro.core.api import time_traces
 from repro.core.results import SimulationResult
 from repro.gpu.config import GPUConfig
+from repro.runtime.executor import ExecutionPolicy, LocalRunner, Runner
+from repro.runtime.job import SimulationJob, remember_traces
+from repro.runtime.store import ResultStore
 from repro.scene.scene import Scene
 from repro.trace.events import RayTrace
 from repro.trace.path import generate_workload
@@ -48,35 +53,25 @@ class TracedScene:
 
 @dataclass
 class WorkloadCache:
-    """Traces scenes once; hands the traces to every timing config.
+    """The shared setting of a set of experiments, and their trace cache.
 
     ``scene_names=None`` means the full Table II suite.  ``params``
     controls resolution; experiments pass a scaled-down copy for quick
-    smoke runs.
-
-    The in-memory layer is LRU-bounded: ``max_traced`` caps how many
-    traced scenes stay resident (``None`` keeps all — the historical
-    behavior, right for one-shot sweeps).  Long-running processes (the
-    sharded service, notebook sessions) set a bound so memory stays
-    flat; evictions are counted in ``evictions`` and surfaced through
-    :class:`~repro.runtime.metrics.RuntimeMetrics` and the service's
-    ``/metrics`` endpoint.
+    smoke runs.  ``runner`` executes every sweep; the default runs the
+    jobs serially in this process with no store.
     """
 
     params: WorkloadParams = field(default_factory=lambda: DEFAULT_PARAMS)
     scene_names: Optional[Sequence[str]] = None
     max_bounces: Optional[int] = None
-    #: LRU capacity of the traced-scene cache (``None`` = unbounded).
-    max_traced: Optional[int] = None
     #: Timing backend every simulation in this cache requests
     #: (``"stepped"`` or ``"vector"``); backends are bit-identical by
     #: contract, so this only changes wall-clock, never results.
     backend: str = "stepped"
-    #: Traced scenes evicted by the LRU bound since construction.
-    evictions: int = 0
-    _cache: "OrderedDict[str, TracedScene]" = field(
-        default_factory=OrderedDict
-    )
+    #: How sweeps execute: a :class:`~repro.runtime.executor.LocalRunner`
+    #: or a service client's ``run_jobs``.
+    runner: Runner = field(default_factory=LocalRunner)
+    _cache: Dict[str, TracedScene] = field(default_factory=dict)
 
     @property
     def names(self) -> List[str]:
@@ -84,76 +79,116 @@ class WorkloadCache:
         return list(self.scene_names) if self.scene_names else list(SCENE_NAMES)
 
     def traced(self, name: str) -> TracedScene:
-        """Trace (or fetch cached traces for) one scene."""
+        """Trace (or fetch cached traces for) one scene.
+
+        The traces also go to the per-process job trace memo, so sweeps
+        run in this process do not trace the scene again.
+        """
         key = name.upper()
-        if key in self._cache:
-            self._cache.move_to_end(key)
-        else:
+        if key not in self._cache:
+            # Phase one ignores the config; any one names the workload.
+            job = self.job(key, GPUConfig())
             scene = load_scene(key)
             bvh = build_bvh(scene)
-            width, height, spp = self.params.for_scene(key)
-            bounces = (
-                self.max_bounces
-                if self.max_bounces is not None
-                else self.params.max_bounces
-            )
-            workload = generate_workload(
+            traces = generate_workload(
                 bvh,
-                width=width,
-                height=height,
-                spp=spp,
-                max_bounces=bounces,
-                seed=self.params.seed,
-            )
+                width=job.width,
+                height=job.height,
+                spp=job.spp,
+                max_bounces=job.max_bounces,
+                seed=job.seed,
+            ).all_traces
+            remember_traces(job, scene.name, traces)
             self._cache[key] = TracedScene(
                 scene=scene,
                 bvh=bvh,
-                traces=workload.all_traces,
+                traces=traces,
                 bvh_stats=compute_stats(bvh),
             )
-            if self.max_traced is not None:
-                while len(self._cache) > max(1, self.max_traced):
-                    self._cache.popitem(last=False)
-                    self.evictions += 1
-                    self._on_evict()
         return self._cache[key]
 
-    def _on_evict(self) -> None:
-        """Hook for subclasses that meter evictions (runtime cache)."""
-
-    def simulate(
-        self, name: str, config: GPUConfig, verify_pops: bool = False
-    ) -> SimulationResult:
-        """Time one scene under one configuration."""
-        traced = self.traced(name)
-        return time_traces(
-            traced.traces,
-            config=config,
-            scene_name=traced.scene.name,
+    def job(
+        self,
+        name: str,
+        config: GPUConfig,
+        strategy: str = "sms",
+        verify_pops: bool = False,
+    ) -> SimulationJob:
+        """The content-addressed job for one (scene, config) cell."""
+        return SimulationJob.from_params(
+            name,
+            config,
+            params=self.params,
+            max_bounces=self.max_bounces,
             verify_pops=verify_pops,
+            strategy=strategy,
             backend=self.backend,
         )
 
     def sweep(
         self, configs: Sequence[GPUConfig], verify_pops: bool = False
     ) -> Dict[str, Dict[str, SimulationResult]]:
-        """Run every (scene, config) pair.
+        """Run every (scene, config) pair through the runner.
 
         Returns ``{scene_name: {config_label: result}}`` with config
-        labels from :meth:`GPUConfig.describe` (made unique with an index
-        suffix if two configs share a label).
+        labels from :func:`unique_labels`.  Jobs go out scene-major, so
+        a worker that draws several configs of one scene traces it once.
         """
-        results: Dict[str, Dict[str, SimulationResult]] = {}
-        labels = _unique_labels(configs)
-        for name in self.names:
-            per_scene: Dict[str, SimulationResult] = {}
-            for label, config in zip(labels, configs):
-                per_scene[label] = self.simulate(name, config, verify_pops)
-            results[name] = per_scene
-        return results
+        labels = unique_labels(configs)
+        names = self.names
+        jobs = [
+            self.job(name, config, verify_pops=verify_pops)
+            for name in names
+            for config in configs
+        ]
+        flat = iter(self.runner(jobs))
+        return {
+            name: {label: next(flat) for label in labels} for name in names
+        }
 
 
-def _unique_labels(configs: Sequence[GPUConfig]) -> List[str]:
+def runtime_cache(
+    params: Optional[WorkloadParams] = None,
+    scene_names: Optional[Sequence[str]] = None,
+    jobs: Optional[int] = None,
+    use_cache: bool = True,
+    cache_dir=None,
+    timeout: Optional[float] = None,
+    retries: int = 2,
+    progress: bool = False,
+    backend: str = "stepped",
+) -> WorkloadCache:
+    """A :class:`WorkloadCache` whose runner is a store-backed pool.
+
+    The one translation of user-facing knobs into a store plus a
+    policy: ``jobs`` is the worker count (``None`` auto-sizes, ``1``
+    forces serial), ``use_cache=False`` drops the persistent store,
+    ``cache_dir`` overrides the store location (default
+    ``~/.cache/repro-sms`` or ``$REPRO_CACHE_DIR``), ``timeout`` and
+    ``retries`` bound each job, ``progress`` draws a live stderr line,
+    and ``backend`` selects the timing backend every job requests.  The
+    runner is a :class:`~repro.runtime.executor.LocalRunner`, so its
+    ``metrics`` accumulate over every sweep.
+    """
+    return WorkloadCache(
+        params=params or DEFAULT_PARAMS,
+        scene_names=scene_names,
+        backend=backend,
+        runner=LocalRunner(
+            store=ResultStore(cache_dir) if use_cache else None,
+            policy=ExecutionPolicy(workers=jobs, timeout=timeout,
+                                   retries=retries, progress=progress),
+        ),
+    )
+
+
+def unique_labels(configs: Sequence[GPUConfig]) -> List[str]:
+    """Figure labels for ``configs``, suffixed ``#i`` where they collide.
+
+    :meth:`GPUConfig.describe` omits some fields (``max_borrows``,
+    ``spill_cache_policy``, ...), so two distinct configs can share a
+    label; the later one gets its position as a suffix.
+    """
     labels: List[str] = []
     for config in configs:
         label = config.describe()

@@ -9,12 +9,12 @@ configuration its own way (stackless returns the SH carve-out to the
 L1D; baseline strips the SMS knobs), so the table compares *architectures*
 at equal SRAM budget, not just stack parameters.
 
-Runs through :mod:`repro.runtime` when given a runtime-backed cache:
-every (scene, strategy) cell is one content-addressed
+Every (scene, strategy) cell is one content-addressed
 :class:`~repro.runtime.job.SimulationJob` (strategy folded into the
-key), so sweeps parallelize and repeat runs are store hits.  With a
-plain :class:`~repro.experiments.common.WorkloadCache` (or ``None``)
-the jobs run serially in-process.
+key), handed to the cache's runner like any other sweep: serial by
+default, pooled and store-backed from
+:func:`~repro.experiments.common.runtime_cache`, or remote through a
+service client.
 
 CLI: ``repro compare --strategies sms,stackless,reorder``.
 """
@@ -29,7 +29,6 @@ from repro.experiments.common import WorkloadCache, geomean
 from repro.experiments.report import format_table
 from repro.gpu.config import GPUConfig
 from repro.gpu.energy import estimate_energy
-from repro.runtime.job import SimulationJob
 from repro.traversal import resolve_strategy
 
 #: The default head-to-head: the paper's architecture vs the two
@@ -82,34 +81,14 @@ def run(
     if not names:
         names = list(DEFAULT_STRATEGIES)
     config = base_config if base_config is not None else sms_config()
-    backend = getattr(cache, "backend", "stepped")
     # Scene-major job order keeps each scene's phase-one traces warm in
     # the per-process memo across its strategy cells.
     jobs = [
-        SimulationJob.from_params(
-            scene,
-            config,
-            params=cache.params,
-            max_bounces=cache.max_bounces,
-            strategy=name,
-            backend=backend,
-        )
+        cache.job(scene, config, strategy=name)
         for scene in cache.names
         for name in names
     ]
-    store = getattr(cache, "store", None)
-    policy = getattr(cache, "policy", None)
-    if policy is not None:
-        from repro.runtime.executor import run_jobs
-
-        report = run_jobs(jobs, store=store, policy=policy)
-        metrics = getattr(cache, "metrics", None)
-        if metrics is not None:
-            metrics.merge(report.metrics)
-        results = report.results
-    else:
-        results = [job.run() for job in jobs]
-    flat = iter(results)
+    flat = iter(cache.runner(jobs))
     per_scene = {
         scene: {name: next(flat) for name in names} for scene in cache.names
     }

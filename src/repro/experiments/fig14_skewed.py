@@ -43,18 +43,18 @@ class Fig14Result:
 def run(cache: Optional[WorkloadCache] = None) -> Fig14Result:
     """Measure bank-conflict delays with and without skewed access."""
     cache = cache or WorkloadCache()
-    no_skew = sms_config(skewed=False, realloc=False)
-    skew = sms_config(skewed=True, realloc=False)
-    delay_no_skew: Dict[str, int] = {}
-    delay_skew: Dict[str, int] = {}
-    for name in cache.names:
-        delay_no_skew[name] = cache.simulate(
-            name, no_skew
-        ).counters.bank_conflict_delay_cycles
-        delay_skew[name] = cache.simulate(
-            name, skew
-        ).counters.bank_conflict_delay_cycles
-    return Fig14Result(delay_no_skew=delay_no_skew, delay_skew=delay_skew)
+    results = cache.sweep([
+        sms_config(skewed=False, realloc=False),
+        sms_config(skewed=True, realloc=False),
+    ])
+    delays = {
+        name: [r.counters.bank_conflict_delay_cycles for r in per.values()]
+        for name, per in results.items()
+    }
+    return Fig14Result(
+        delay_no_skew={name: pair[0] for name, pair in delays.items()},
+        delay_skew={name: pair[1] for name, pair in delays.items()},
+    )
 
 
 def render(result: Fig14Result) -> str:

@@ -11,11 +11,12 @@ and RA optimizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.core.presets import baseline_config, full_stack_config, sms_config
 from repro.experiments.common import WorkloadCache, mean_row, normalized_ipc
 from repro.experiments.report import format_bar_series, format_table
+from repro.gpu.config import GPUConfig
 
 SH_SIZES = (4, 8, 16)
 PAPER = {
@@ -36,21 +37,27 @@ class Fig8Result:
     shared_memory_bytes: Dict[str, int]
 
 
+def configs() -> List[GPUConfig]:
+    """The figure's bars: RB_8, the plain SH sizes, and RB_FULL."""
+    return (
+        [baseline_config()]
+        + [sms_config(sh_entries=n, skewed=False, realloc=False)
+           for n in SH_SIZES]
+        + [full_stack_config()]
+    )
+
+
 def run(cache: Optional[WorkloadCache] = None) -> Fig8Result:
     """Run the SH-size sweep over the workload suite."""
     cache = cache or WorkloadCache()
-    configs = [baseline_config()]
-    configs += [
-        sms_config(sh_entries=n, skewed=False, realloc=False) for n in SH_SIZES
-    ]
-    configs.append(full_stack_config())
-    results = cache.sweep(configs)
+    bars = configs()
+    results = cache.sweep(bars)
     per_scene = normalized_ipc(results, "RB_8")
     return Fig8Result(
         means=mean_row(per_scene),
         per_scene=per_scene,
         shared_memory_bytes={
-            config.describe(): config.shared_memory_bytes for config in configs
+            config.describe(): config.shared_memory_bytes for config in bars
         },
     )
 

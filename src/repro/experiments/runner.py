@@ -1,13 +1,15 @@
 """One-call regeneration of every table and figure.
 
 ``run_experiment("fig13")`` runs one driver; ``run_all()`` regenerates
-the whole evaluation section, sharing a single workload cache so each
-scene is traced exactly once.
+the whole evaluation section, sharing a single workload cache (params,
+scenes, backend and the runner every sweep goes through).
 
-Both default to a :class:`~repro.runtime.cache.CachedWorkloadCache`, so
+Both default to :func:`~repro.experiments.common.runtime_cache`, so
 every driver's sweep runs on the runtime's process pool and is served
-from the persistent result store on repeat runs; pass ``jobs=1`` or
-``use_cache=False`` (or a plain :class:`WorkloadCache`) to opt out.
+from the persistent result store on repeat runs; pass a cache built by
+``runtime_cache(jobs=1, use_cache=False)`` (or a plain
+:class:`WorkloadCache`, whose runner is serial with no store) to opt
+out.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.common import WorkloadCache
+from repro.experiments.common import WorkloadCache, runtime_cache
 
 #: Experiment id -> driver module.  Every driver has run()/render().
 EXPERIMENTS = {
@@ -56,19 +58,12 @@ EXTRA_EXPERIMENTS = {
 _CACHELESS = ("table1",)
 
 
-def _default_cache() -> WorkloadCache:
-    """The runtime-backed cache experiments get when none is supplied."""
-    from repro.runtime.cache import runtime_cache
-
-    return runtime_cache()
-
-
 def run_experiment(name: str, cache: Optional[WorkloadCache] = None) -> str:
     """Run one experiment and return its rendered report."""
     key = name.lower()
     if key in EXTRA_EXPERIMENTS:
         driver = EXTRA_EXPERIMENTS[key]
-        return driver.render(driver.run(cache or _default_cache()))
+        return driver.render(driver.run(cache or runtime_cache()))
     if key not in EXPERIMENTS:
         available = ", ".join(list(EXPERIMENTS) + list(EXTRA_EXPERIMENTS))
         raise ExperimentError(
@@ -77,30 +72,14 @@ def run_experiment(name: str, cache: Optional[WorkloadCache] = None) -> str:
     driver = EXPERIMENTS[key]
     if key in _CACHELESS:
         return driver.render(driver.run())
-    return driver.render(driver.run(cache or _default_cache()))
+    return driver.render(driver.run(cache or runtime_cache()))
 
 
-def run_all(
-    cache: Optional[WorkloadCache] = None,
-    jobs: Optional[int] = None,
-    use_cache: bool = True,
-    cache_dir=None,
-    progress: bool = False,
-) -> Dict[str, str]:
+def run_all(cache: Optional[WorkloadCache] = None) -> Dict[str, str]:
     """Regenerate every table and figure; returns id -> rendered report.
 
-    ``jobs``/``use_cache``/``cache_dir``/``progress`` configure the
-    runtime cache built when no ``cache`` is supplied (worker count,
-    persistent store, store location, live progress line).
+    Without a ``cache`` this runs on ``runtime_cache()``'s defaults; pass
+    ``runtime_cache(jobs=..., use_cache=..., ...)`` to configure them.
     """
-    if cache is None:
-        from repro.runtime.cache import runtime_cache
-
-        cache = runtime_cache(
-            jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-            progress=progress,
-        )
-    reports: Dict[str, str] = {}
-    for name in EXPERIMENTS:
-        reports[name] = run_experiment(name, cache)
-    return reports
+    cache = cache or runtime_cache()
+    return {name: run_experiment(name, cache) for name in EXPERIMENTS}

@@ -13,32 +13,44 @@ This package turns that purity into throughput:
   timeouts, bounded retry with backoff, and graceful degradation to
   serial in-process execution when workers fail;
 - :mod:`repro.runtime.metrics` — queued/running/done/failed/cache-hit
-  counters, per-job latency and throughput, plus a live progress line;
-- :mod:`repro.runtime.cache` — a drop-in :class:`WorkloadCache` whose
-  sweeps run through the executor and the store, so every experiment
-  driver gains parallelism and caching without changes.
+  counters, per-job latency and throughput, plus a live progress line.
 
-Because the simulation is deterministic, a parallel cached sweep is
-bit-identical to the legacy serial path.
+Every sweep runs as a list of jobs handed to one *runner* — any
+callable ``jobs -> results``.  There are two: :class:`LocalRunner`
+(:func:`run_jobs` with a store and a policy, accumulating
+:class:`RuntimeMetrics`) and a service client's ``run_jobs``;
+:func:`resolve_runner` picks between them.  Because the simulation is
+deterministic, serial, pooled, cached and served sweeps are
+bit-identical.  The experiment layer builds on this package, never the
+other way round: :func:`repro.experiments.common.runtime_cache` turns
+user knobs into a :class:`~repro.experiments.common.WorkloadCache` whose
+runner is a :class:`LocalRunner`.
 """
 
-from repro.runtime.cache import CachedWorkloadCache, runtime_cache
-from repro.runtime.executor import ExecutionPolicy, RunReport, run_jobs
+from repro.runtime.executor import (
+    ExecutionPolicy,
+    LocalRunner,
+    Runner,
+    RunReport,
+    resolve_runner,
+    run_jobs,
+)
 from repro.runtime.job import CACHE_SCHEMA_VERSION, SimulationJob, cache_salt
 from repro.runtime.metrics import ProgressReporter, RuntimeMetrics
 from repro.runtime.store import DEFAULT_CACHE_DIR, ResultStore
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
-    "CachedWorkloadCache",
     "DEFAULT_CACHE_DIR",
     "ExecutionPolicy",
+    "LocalRunner",
     "ProgressReporter",
     "ResultStore",
     "RunReport",
+    "Runner",
     "RuntimeMetrics",
     "SimulationJob",
     "cache_salt",
+    "resolve_runner",
     "run_jobs",
-    "runtime_cache",
 ]

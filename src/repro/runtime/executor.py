@@ -23,6 +23,11 @@ Guard violations (:class:`~repro.errors.GuardViolationError`) are
 skip the retry budget entirely.  Instead the structured failure is
 recorded in the store's ``failures/`` sidecar (never the result cache)
 and the job raises immediately.
+
+Every sweep in the package is a job list handed to a *runner*: any
+callable ``jobs -> results``.  :class:`LocalRunner` wraps
+:func:`run_jobs` with a store and a policy; :func:`resolve_runner` turns
+a service URL or client into the other kind.
 """
 
 from __future__ import annotations
@@ -96,6 +101,49 @@ class RunReport:
     metrics: RuntimeMetrics
 
 
+#: How a sweep executes: any callable taking a job list and returning
+#: one result per job, in order.  The two in the tree are a
+#: :class:`LocalRunner` and a service client's ``run_jobs``.
+Runner = Callable[[Sequence], List[Any]]
+
+
+@dataclass
+class LocalRunner:
+    """The in-process runner: :func:`run_jobs` with a store and a policy.
+
+    The defaults run serially in this process with no store.
+    ``metrics`` accumulates every call's :class:`RuntimeMetrics`, for
+    reporting at the end of a campaign.
+    """
+
+    store: Optional[ResultStore] = None
+    policy: ExecutionPolicy = field(
+        default_factory=lambda: ExecutionPolicy(workers=1)
+    )
+    metrics: RuntimeMetrics = field(default_factory=RuntimeMetrics)
+
+    def __call__(self, jobs: Sequence) -> List[Any]:
+        report = run_jobs(jobs, store=self.store, policy=self.policy)
+        self.metrics.merge(report.metrics)
+        return report.results
+
+
+def resolve_runner(service=None, local: Optional[Runner] = None) -> Runner:
+    """The runner for a ``service`` spec, or ``local`` when there is none.
+
+    ``service`` is a :class:`~repro.service.client.ServiceClient`, an
+    ``http://host:port`` URL of a running ``repro serve``, or ``None``;
+    ``local`` defaults to a serial :class:`LocalRunner`.
+    """
+    if service is None:
+        return local if local is not None else LocalRunner()
+    if isinstance(service, str):
+        from repro.service.client import ServiceClient
+
+        service = ServiceClient.from_url(service)
+    return service.run_jobs
+
+
 @dataclass
 class _JobState:
     """Dispatch bookkeeping for one distinct job."""
@@ -115,15 +163,11 @@ def run_jobs(
     jobs: Sequence,
     store: Optional[ResultStore] = None,
     policy: Optional[ExecutionPolicy] = None,
-    serial_runner: Optional[Callable] = None,
 ) -> RunReport:
     """Resolve every job via store, pool, or serial fallback.
 
     ``jobs`` may be :class:`~repro.runtime.job.SimulationJob` instances
     or any picklable object with ``key() -> str`` and ``run()``.
-    ``serial_runner`` overrides how jobs execute on the serial paths
-    (in-process sweeps reuse already-traced scenes this way); worker
-    processes always call ``job.run()``.
     """
     policy = policy or ExecutionPolicy()
     jobs = list(jobs)
@@ -156,10 +200,10 @@ def run_jobs(
             workers = policy.effective_workers(len(states))
             if workers <= 1:
                 _run_serial(states, results, store, policy, metrics,
-                            progress, serial_runner)
+                            progress)
             else:
                 _run_parallel(states, results, store, policy, metrics,
-                              progress, serial_runner, workers)
+                              progress, workers)
     finally:
         metrics.running = 0
         metrics.elapsed_seconds = time.monotonic() - started
@@ -231,12 +275,11 @@ def _give_up(state, exc, store, metrics, traceback_text=None):
     raise error from exc
 
 
-def _run_one_serial(state, policy, metrics, serial_runner, store=None):
+def _run_one_serial(state, policy, metrics, store=None):
     """One job in-process, honoring the retry budget."""
-    runner = serial_runner or _execute
     while True:
         try:
-            return runner(state.job)
+            return state.job.run()
         except Exception as exc:
             if (isinstance(exc, GuardViolationError)
                     or state.attempts >= policy.retries):
@@ -249,15 +292,13 @@ def _run_one_serial(state, policy, metrics, serial_runner, store=None):
             time.sleep(delay)
 
 
-def _run_serial(states, results, store, policy, metrics, progress,
-                serial_runner) -> None:
+def _run_serial(states, results, store, policy, metrics, progress) -> None:
     """Serial in-process execution (workers<=1, or fallback)."""
     for state in states:
         metrics.running = 1
         progress.update(metrics)
         begun = time.monotonic()
-        value = _run_one_serial(state, policy, metrics, serial_runner,
-                                store=store)
+        value = _run_one_serial(state, policy, metrics, store=store)
         metrics.job_seconds.append(time.monotonic() - begun)
         metrics.running = 0
         _record(state, value, results, store, metrics)
@@ -265,7 +306,7 @@ def _run_serial(states, results, store, policy, metrics, progress,
 
 
 def _run_parallel(states, results, store, policy, metrics, progress,
-                  serial_runner, workers) -> None:
+                  workers) -> None:
     """Pool execution with retry, per-job timeout, and degradation.
 
     Jobs are dispatched one per free worker slot (so a job's timeout
@@ -350,5 +391,4 @@ def _run_parallel(states, results, store, policy, metrics, progress,
                 process.terminate()
     if fallback:
         metrics.serial_fallbacks += len(fallback)
-        _run_serial(fallback, results, store, policy, metrics, progress,
-                    serial_runner)
+        _run_serial(fallback, results, store, policy, metrics, progress)

@@ -33,9 +33,11 @@ from repro.workloads.params import DEFAULT_PARAMS, WorkloadParams
 CACHE_SCHEMA_VERSION = 3
 
 #: Traced workloads memoized per process (see :func:`_workload_traces`).
+#: The default holds the whole 16-scene Table II suite, so a process that
+#: runs several sweeps over the suite traces each scene once.
 #: ``REPRO_TRACE_MEMO`` overrides the capacity — long-running service
 #: shards tune it down to keep worker memory flat.
-_TRACE_MEMO_CAPACITY = 4
+_TRACE_MEMO_CAPACITY = 16
 
 _TRACE_MEMO: "OrderedDict[tuple, Tuple[str, list]]" = OrderedDict()
 
@@ -129,9 +131,10 @@ class SimulationJob:
     ) -> "SimulationJob":
         """Build a job resolving the two-tier resolution scheme.
 
-        Mirrors :class:`~repro.experiments.common.WorkloadCache`: complex
-        scenes get the reduced tier of ``params``, and ``max_bounces``
-        (when given) overrides the params' bounce budget.
+        Complex scenes get the reduced tier of ``params``, and
+        ``max_bounces`` (when given) overrides the params' bounce
+        budget.  Every sweep builds its cells here (see
+        ``WorkloadCache.job`` in :mod:`repro.experiments.common`).
         """
         width, height, spp = params.for_scene(scene)
         return cls(
@@ -213,22 +216,41 @@ class SimulationJob:
         return label
 
 
-def _workload_traces(job: SimulationJob) -> Tuple[str, List]:
-    """Trace the job's workload, memoizing per process (small LRU).
+def _memo_key(job: SimulationJob) -> tuple:
+    """The job's phase-one identity: its spec minus the GPU configuration.
 
-    The memo key deliberately excludes the GPU configuration — phase one
-    is configuration-independent, which is the whole point of the
-    two-phase split.  It keys on the strategy's *trace key* rather than
-    its name, so strategies that record identical streams share entries.
+    Phase one is configuration-independent, which is the whole point of
+    the two-phase split.  The key uses the strategy's *trace key* rather
+    than its name, so strategies that record identical streams share
+    entries.
     """
     from repro.traversal.registry import resolve_strategy
     from repro.workloads.lumibench import bench_scale
 
-    strategy = resolve_strategy(job.strategy)
-    memo_key = (
+    return (
         job.scene, job.width, job.height, job.spp, job.max_bounces, job.seed,
-        strategy.trace_key(), bench_scale(),
+        resolve_strategy(job.strategy).trace_key(), bench_scale(),
     )
+
+
+def remember_traces(job: SimulationJob, scene_name: str, traces: List) -> None:
+    """Memoize traces built outside :meth:`SimulationJob.run` for ``job``.
+
+    For a caller that traced ``job``'s workload itself (keeping the BVH
+    too), so jobs of the same workload in this process skip phase one.
+    """
+    global _TRACE_MEMO_EVICTIONS
+    _TRACE_MEMO[_memo_key(job)] = (scene_name, traces)
+    while len(_TRACE_MEMO) > _trace_memo_capacity():
+        _TRACE_MEMO.popitem(last=False)
+        _TRACE_MEMO_EVICTIONS += 1
+
+
+def _workload_traces(job: SimulationJob) -> Tuple[str, List]:
+    """Trace the job's workload, memoizing per process (LRU)."""
+    from repro.traversal.registry import resolve_strategy
+
+    memo_key = _memo_key(job)
     cached = _TRACE_MEMO.get(memo_key)
     if cached is not None:
         _TRACE_MEMO.move_to_end(memo_key)
@@ -237,19 +259,13 @@ def _workload_traces(job: SimulationJob) -> Tuple[str, List]:
     from repro.workloads.lumibench import load_scene
 
     scene = load_scene(job.scene)
-    bvh = build_bvh(scene)
-    workload = strategy.build_workload(
-        bvh,
+    workload = resolve_strategy(job.strategy).build_workload(
+        build_bvh(scene),
         width=job.width,
         height=job.height,
         spp=job.spp,
         max_bounces=job.max_bounces,
         seed=job.seed,
     )
-    entry = (scene.name, workload.all_traces)
-    _TRACE_MEMO[memo_key] = entry
-    global _TRACE_MEMO_EVICTIONS
-    while len(_TRACE_MEMO) > _trace_memo_capacity():
-        _TRACE_MEMO.popitem(last=False)
-        _TRACE_MEMO_EVICTIONS += 1
-    return entry
+    remember_traces(job, scene.name, workload.all_traces)
+    return scene.name, workload.all_traces

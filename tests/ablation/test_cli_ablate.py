@@ -98,7 +98,7 @@ def test_list_spaces(capsys):
 
 def test_experiment_ablate_driver(capsys):
     from repro.experiments.runner import EXTRA_EXPERIMENTS, run_experiment
-    from repro.runtime.cache import runtime_cache
+    from repro.experiments.common import runtime_cache
     from repro.workloads.params import WorkloadParams
 
     assert "ablate" in EXTRA_EXPERIMENTS

@@ -129,7 +129,7 @@ def test_service_path_is_bit_identical_to_golden(server):
     report = execute_matrix(
         generate_matrix(golden_space()),
         params=golden_params(),
-        service=client,
+        runner=client.run_jobs,
     )
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     assert payload + "\n" == GOLDEN_PATH.read_text()

@@ -166,6 +166,16 @@ def test_every_named_space_is_valid_and_expands():
         assert space_catalog()[name]
 
 
+def test_fig8_space_matches_the_fig8_driver():
+    """Paper Fig. 8 sizes the plain SH stack: no skewing, no realloc."""
+    from repro.experiments import fig8_sh_configs
+
+    bars = {config.describe() for config in fig8_sh_configs.configs()}
+    runs = generate_matrix(named_space("fig8")).runs
+    assert runs
+    assert {run.label for run in runs} <= bars
+
+
 def test_named_space_unknown_name():
     with pytest.raises(AblationError, match="unknown knob space"):
         named_space("figure-of-doom")

@@ -12,7 +12,6 @@ from repro.analysis import (
     write_csv,
     write_json,
 )
-from repro.experiments.common import WorkloadCache
 from repro.workloads.params import WorkloadParams
 
 
@@ -87,11 +86,19 @@ def test_campaign_accepts_config_objects():
     assert len(result.results) == 2
 
 
-def test_campaign_reuses_external_cache():
-    cache = WorkloadCache(
-        params=WorkloadParams().scaled(0.25), scene_names=["SHIP"]
+def test_configs_sharing_a_label_keep_separate_cells():
+    """``describe()`` omits ``max_borrows``; the cells must not collide."""
+    from repro.core.presets import sms_config
+
+    campaign = Campaign(
+        configs=("RB_8", sms_config(), sms_config().with_(max_borrows=1)),
+        scenes=("SHIP",),
+        params=WorkloadParams().scaled(0.25),
+        jobs=1,
+        use_cache=False,
     )
-    cache.traced("SHIP")
-    campaign = Campaign(configs=("RB_8",), scenes=("SHIP",))
-    result = campaign.run(cache)
-    assert result.results[0].scene_name == "SHIP"
+    result = campaign.run()
+    labels = ["RB_8", "RB_8+SH_8+SK+RA", "RB_8+SH_8+SK+RA#2"]
+    assert list(result.normalized_means()) == labels
+    header = result.to_markdown().splitlines()[0]
+    assert header == "| scene | " + " | ".join(labels) + " |"

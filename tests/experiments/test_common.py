@@ -43,7 +43,7 @@ def test_traced_is_cached(tiny_cache):
 
 
 def test_simulate_one(tiny_cache):
-    result = tiny_cache.simulate("SHIP", baseline_config())
+    result = tiny_cache.sweep([baseline_config()])["SHIP"]["RB_8"]
     assert result.ipc > 0
     assert result.scene_name == "SHIP"
 

@@ -1,10 +1,9 @@
-"""LRU bounds on the in-memory caches: traced scenes and the trace memo."""
+"""In-memory caches: the workload cache's traced scenes and the LRU trace memo."""
 
 import importlib
 
 from repro.core.presets import named_config
 from repro.experiments.common import WorkloadCache
-from repro.runtime.cache import runtime_cache
 from repro.workloads.params import WorkloadParams
 
 PARAMS = WorkloadParams().scaled(0.25)
@@ -13,38 +12,9 @@ SCENES = ["WKND", "SPRNG", "FOX", "LANDS"]
 
 def test_workload_cache_unbounded_by_default():
     cache = WorkloadCache(scene_names=SCENES, params=PARAMS)
-    for name in SCENES:
-        cache.traced(name)
-    assert cache.evictions == 0
-    assert len(cache._cache) == len(SCENES)
-
-
-def test_workload_cache_lru_evicts_oldest():
-    cache = WorkloadCache(scene_names=SCENES, params=PARAMS, max_traced=2)
-    for name in SCENES[:3]:
-        cache.traced(name)
-    assert cache.evictions == 1
-    assert list(cache._cache) == ["SPRNG", "FOX"]
-    # A hit refreshes recency: SPRNG survives the next insertion.
-    cache.traced("SPRNG")
-    cache.traced("LANDS")
-    assert list(cache._cache) == ["SPRNG", "LANDS"]
-    assert cache.evictions == 2
-    # Evicted scenes re-trace transparently.
-    assert cache.traced("WKND") is not None
-    assert cache.evictions == 3
-
-
-def test_runtime_cache_exposes_evictions_in_metrics(tmp_path):
-    cache = runtime_cache(
-        params=PARAMS, scene_names=SCENES[:3], jobs=1,
-        use_cache=False, max_traced=1,
-    )
-    for name in SCENES[:3]:
-        cache.traced(name)
-    assert cache.evictions == 2
-    assert cache.metrics.evictions == 2
-    assert "evictions" in cache.metrics.summary()
+    traced = [cache.traced(name) for name in SCENES]
+    assert list(cache._cache) == SCENES
+    assert [cache.traced(name) for name in SCENES] == traced
 
 
 def test_trace_memo_capacity_env_knob(monkeypatch):
@@ -71,3 +41,16 @@ def test_trace_memo_evicts_at_capacity(monkeypatch):
         ).run()
     assert len(job_module._TRACE_MEMO) <= 1
     assert job_module.trace_memo_evictions() > before
+
+
+def test_traced_scene_seeds_the_trace_memo():
+    from repro.workloads.lumibench import SCENE_NAMES
+
+    job_module = importlib.import_module("repro.runtime.job")
+    # One process can keep the whole suite traced across sweeps.
+    assert job_module._TRACE_MEMO_CAPACITY >= len(SCENE_NAMES)
+    cache = WorkloadCache(scene_names=["WKND"], params=PARAMS)
+    traced = cache.traced("WKND")
+    job = cache.job("WKND", named_config("RB_8"))
+    assert job_module._workload_traces(job) == ("WKND", traced.traces)
+    assert job_module._workload_traces(job)[1] is traced.traces

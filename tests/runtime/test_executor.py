@@ -15,8 +15,13 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.errors import JobExecutionError
-from repro.runtime.executor import ExecutionPolicy, run_jobs
+from repro.errors import ConfigError, JobExecutionError
+from repro.runtime.executor import (
+    ExecutionPolicy,
+    LocalRunner,
+    resolve_runner,
+    run_jobs,
+)
 
 
 def _in_worker() -> bool:
@@ -155,18 +160,27 @@ def test_auto_worker_sizing_caps_to_pending():
     assert ExecutionPolicy(workers=0).effective_workers(5) == 1
 
 
-def test_serial_runner_override(tmp_path):
-    seen = []
-
-    def runner(job):
-        seen.append(job.token)
-        return f"local:{job.token}"
-
+def test_local_runner_accumulates_metrics(tmp_path):
+    runner = LocalRunner(policy=ExecutionPolicy(workers=1, **FAST))
     jobs = [stub("x", tmp_path), stub("y", tmp_path)]
-    report = run_jobs(jobs, policy=ExecutionPolicy(workers=1, **FAST),
-                      serial_runner=runner)
-    assert report.results == ["local:x", "local:y"]
-    assert seen == ["x", "y"]
+    assert runner(jobs) == ["ok:x", "ok:y"]
+    assert runner([stub("z", tmp_path)]) == ["ok:z"]
+    assert runner.metrics.jobs_total == 3
+    assert runner.metrics.simulated == 3
+
+
+def test_resolve_runner():
+    from repro.service import ServiceClient
+
+    local = LocalRunner()
+    assert resolve_runner(None, local) is local
+    assert isinstance(resolve_runner(), LocalRunner)
+    client = ServiceClient(port=1)
+    assert resolve_runner(client) == client.run_jobs
+    remote = resolve_runner("http://127.0.0.1:9")
+    assert (remote.__self__.host, remote.__self__.port) == ("127.0.0.1", 9)
+    with pytest.raises(ConfigError):
+        resolve_runner("not-a-url")
 
 
 # -- traceback capture on terminal failures -------------------------------

@@ -9,14 +9,8 @@ store (zero simulations on the second run).
 import pytest
 
 from repro.analysis import Campaign
-from repro.experiments.common import WorkloadCache
+from repro.experiments.common import WorkloadCache, runtime_cache
 from repro.core.presets import named_config
-from repro.runtime import (
-    CachedWorkloadCache,
-    ExecutionPolicy,
-    ResultStore,
-    runtime_cache,
-)
 from repro.workloads.params import WorkloadParams
 
 PARAMS = WorkloadParams().scaled(0.25)
@@ -85,21 +79,12 @@ def test_salt_change_invalidates(tmp_path, monkeypatch):
     assert rerun.metrics.simulated == len(SCENES) * len(CONFIGS)
 
 
-def test_legacy_cache_path_still_serial(tmp_path):
-    cache = WorkloadCache(params=PARAMS, scene_names=["SHIP"])
-    result = Campaign(configs=("RB_8",), scenes=("SHIP",)).run(cache)
-    assert result.metrics is None  # legacy path bypasses the runtime
-    assert result.results[0].scene_name == "SHIP"
-
-
 def test_cached_sweep_matches_plain_sweep(tmp_path):
     configs = [named_config(name) for name in CONFIGS]
     plain = WorkloadCache(params=PARAMS, scene_names=list(SCENES))
-    cached = CachedWorkloadCache(
-        params=PARAMS,
-        scene_names=list(SCENES),
-        store=ResultStore(tmp_path / "store"),
-        policy=ExecutionPolicy(workers=2),
+    cached = runtime_cache(
+        params=PARAMS, scene_names=list(SCENES), jobs=2,
+        cache_dir=tmp_path / "store",
     )
     expected = plain.sweep(configs)
     actual = cached.sweep(configs)
@@ -107,7 +92,7 @@ def test_cached_sweep_matches_plain_sweep(tmp_path):
     # And again, now fully from the store.
     again = cached.sweep(configs)
     assert again == expected
-    assert cached.metrics.cache_hits >= len(SCENES) * len(CONFIGS)
+    assert cached.runner.metrics.cache_hits >= len(SCENES) * len(CONFIGS)
 
 
 def test_cached_simulate_hits_store(tmp_path):
@@ -115,11 +100,11 @@ def test_cached_simulate_hits_store(tmp_path):
         params=PARAMS, scene_names=["SHIP"], jobs=1,
         cache_dir=tmp_path / "store",
     )
-    config = named_config("RB_8")
-    first = cached.simulate("SHIP", config)
-    assert cached.metrics.simulated == 1
-    second = cached.simulate("SHIP", config)
-    assert cached.metrics.cache_hits == 1
+    configs = [named_config("RB_8")]
+    first = cached.sweep(configs)
+    assert cached.runner.metrics.simulated == 1
+    second = cached.sweep(configs)
+    assert cached.runner.metrics.cache_hits == 1
     assert first == second
 
 
@@ -132,7 +117,7 @@ def test_run_experiment_accepts_runtime_cache(tmp_path):
     )
     report = run_experiment("fig13", cache)
     assert "SHIP" in report
-    assert cache.metrics.simulated > 0
+    assert cache.runner.metrics.simulated > 0
     # Regenerating is free now.
     cache2 = runtime_cache(
         params=PARAMS, scene_names=list(SCENES), jobs=2,
@@ -140,7 +125,7 @@ def test_run_experiment_accepts_runtime_cache(tmp_path):
     )
     report2 = run_experiment("fig13", cache2)
     assert report2 == report
-    assert cache2.metrics.simulated == 0
+    assert cache2.runner.metrics.simulated == 0
 
 
 def test_cli_experiment_runtime_flags(tmp_path, capsys):

@@ -64,11 +64,14 @@ def test_from_params_uppercases_scene():
 
 
 def test_run_matches_direct_simulation():
+    from repro.core.api import time_traces
     from repro.experiments.common import WorkloadCache
 
     job = job_for()
-    direct = WorkloadCache(params=PARAMS, scene_names=["SHIP"]).simulate(
-        "SHIP", named_config("RB_8")
+    traced = WorkloadCache(params=PARAMS, scene_names=["SHIP"]).traced("SHIP")
+    direct = time_traces(
+        traced.traces, config=named_config("RB_8"),
+        scene_name=traced.scene.name,
     )
     via_job = job.run()
     assert via_job == direct

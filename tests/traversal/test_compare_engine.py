@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments import compare_strategies
-from repro.experiments.common import WorkloadCache
-from repro.runtime.cache import runtime_cache
+from repro.experiments.common import WorkloadCache, runtime_cache
 from repro.workloads.params import WorkloadParams
 
 TINY = WorkloadParams(width=6, height=6, spp=1, max_bounces=2,
@@ -43,14 +42,14 @@ def test_run_through_the_runtime_hits_the_store(tmp_path):
     cache = runtime_cache(params=TINY, scene_names=("WKND",), jobs=1,
                           cache_dir=tmp_path)
     first = compare_strategies.run(cache, strategies=("sms", "stackless"))
-    assert cache.metrics.simulated == 2
-    assert cache.metrics.cache_hits == 0
+    assert cache.runner.metrics.simulated == 2
+    assert cache.runner.metrics.cache_hits == 0
     # Second sweep over the same cells: pure store hits.
     cache2 = runtime_cache(params=TINY, scene_names=("WKND",), jobs=1,
                            cache_dir=tmp_path)
     second = compare_strategies.run(cache2, strategies=("sms", "stackless"))
-    assert cache2.metrics.cache_hits == 2
-    assert cache2.metrics.simulated == 0
+    assert cache2.runner.metrics.cache_hits == 2
+    assert cache2.runner.metrics.simulated == 0
     for name in ("sms", "stackless"):
         assert (second.per_scene["WKND"][name].counters.as_dict()
                 == first.per_scene["WKND"][name].counters.as_dict())
