@@ -41,7 +41,11 @@ class ServiceConfig:
     heartbeat_interval: float = 0.05
     #: Seconds without a heartbeat change before a shard is declared hung.
     heartbeat_timeout: float = 2.0
-    #: Coordinator poll-loop tick.
+    #: Coordinator health timer: how often heartbeat staleness, restart
+    #: backoff and breaker cooldowns are checked.  Requests never wait
+    #: for it (submissions, responses and shard exits wake the
+    #: coordinator at once); it bounds failure-detection latency and
+    #: floors the retry-after hint of a queue-full shed.
     poll_tick: float = 0.02
 
     #: Additional attempts for a job that *errors* deterministically
@@ -79,6 +83,9 @@ class ServiceConfig:
             raise ConfigError("queue_depth must be >= 1")
         if self.rate <= 0 or self.burst < 1:
             raise ConfigError("token bucket needs rate > 0 and burst >= 1")
+        for name in ("poll_tick", "heartbeat_interval", "stream_interval"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
         if self.heartbeat_timeout <= self.heartbeat_interval:
             raise ConfigError(
                 "heartbeat_timeout must exceed heartbeat_interval"

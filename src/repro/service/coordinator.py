@@ -24,17 +24,30 @@ them with the full robustness ladder:
    campaign always completes, because the simulation itself is
    deterministic and shard placement never changes results.
 
-Everything time-dependent reads the injected clock, so the module stays
-inside simlint's timing scope with no host-clock reads.
+The coordinator is event-driven.  One task (:meth:`_serve_loop`) owns
+every state transition and runs one pass — drain responses, check
+health, restart due shards, dispatch, hand stranded work to the serial
+fallback — each time its wake event is set.  Four sources set it:
+
+- :meth:`submit` admitting work (``submit`` itself never dispatches, so
+  a synchronous burst of submissions fills the queues first);
+- a shard's response pipe becoming readable (``loop.add_reader``);
+- a shard process exiting (its ``Process.sentinel``, same mechanism);
+- the ``poll_tick`` timer, which only paces heartbeat staleness,
+  restart backoff and breaker cooldowns — it is off the request path.
+
+The serial fallback runs as its own tracked task, one job at a time, so
+an in-process job never stalls dispatch or health checks.  Everything
+time-dependent reads the injected clock, so the module stays inside
+simlint's timing scope with no host-clock reads.
 """
 
 from __future__ import annotations
 
 import asyncio
 import pickle
-import queue as queue_module
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
     JobExecutionError,
@@ -124,7 +137,11 @@ class SimulationService:
         self._done: "OrderedDict[str, _Entry]" = OrderedDict()
         self._tickets: Dict[str, str] = {}
         self._ticket_sequence = 0
-        self._poll_task: Optional[asyncio.Task] = None
+        self._wake: Optional[asyncio.Event] = None
+        self._tasks: List[asyncio.Task] = []
+        #: Shard id -> the file descriptors registered with the loop.
+        self._watched: Dict[int, Tuple[int, int]] = {}
+        self._serial_task: Optional[asyncio.Task] = None
         self._serial_lock: Optional[asyncio.Lock] = None
         self._serial_pending: List[_Entry] = []
         self._started = False
@@ -134,31 +151,52 @@ class SimulationService:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn the shard fleet and the poll loop."""
+        """Spawn the shard fleet, the serve loop and its tick."""
         if self._started:
             return
         self._started = True
+        self._wake = asyncio.Event()
         self._serial_lock = asyncio.Lock()
         now = self.clock.now()
         for shard_id in range(self.config.shards):
             handle = self._spawn(shard_id, with_fault=True)
             handle.last_beat_changed = now
             self.shards.append(handle)
-        self._poll_task = asyncio.ensure_future(self._poll_loop())
+            self._watch(handle)
+        self._tasks = [
+            asyncio.ensure_future(self._serve_loop()),
+            asyncio.ensure_future(self._tick_loop()),
+        ]
 
     async def stop(self) -> None:
-        """Stop the poll loop and the fleet."""
+        """Stop the loops and the fleet; fail every unsettled job."""
         if not self._started:
             return
         self._started = False
-        if self._poll_task is not None:
-            self._poll_task.cancel()
+        tasks = self._tasks
+        if self._serial_task is not None:
+            tasks.append(self._serial_task)
+        self._tasks = []
+        self._serial_task = None
+        for task in tasks:
+            task.cancel()
+        for task in tasks:
             try:
-                await self._poll_task
+                await task
             except asyncio.CancelledError:
-                self._poll_task = None
+                continue
         for handle in self.shards:
+            self._unwatch(handle)
             stop_shard(handle, kill=handle.current is not None)
+            handle.current = None
+            handle.queue.clear()
+        self._serial_pending.clear()
+        now = self.clock.now()
+        for entry in list(self._entries.values()):
+            entry.state = FAILED
+            entry.error = ServiceError("service stopped")
+            entry.record("stopped", now)
+            self._finish(entry)
 
     async def __aenter__(self) -> "SimulationService":
         await self.start()
@@ -180,6 +218,20 @@ class SimulationService:
             self.clock,
         )
         return handle
+
+    def _watch(self, handle: ShardHandle) -> None:
+        """Wake the serve loop when the shard answers or exits."""
+        loop = asyncio.get_running_loop()
+        fds = (handle.responses.fileno(), handle.process.sentinel)
+        for fd in fds:
+            loop.add_reader(fd, self._wake.set)
+        self._watched[handle.shard_id] = fds
+
+    def _unwatch(self, handle: ShardHandle) -> None:
+        """Deregister the shard's fds; call before they are closed."""
+        loop = asyncio.get_running_loop()
+        for fd in self._watched.pop(handle.shard_id, ()):
+            loop.remove_reader(fd)
 
     # ------------------------------------------------------------------
     # submission (admission control + single-flight)
@@ -251,6 +303,7 @@ class SimulationService:
         self.metrics.queue_depth = depth
         if depth > self.metrics.queue_depth_peak:
             self.metrics.queue_depth_peak = depth
+        self._wake.set()
         return self._ticket(entry, coalesced=False)
 
     def _ticket(self, entry: _Entry, coalesced: bool) -> Dict:
@@ -388,31 +441,41 @@ class SimulationService:
                 "shards": shards}
 
     # ------------------------------------------------------------------
-    # the poll loop: responses, health, restarts, dispatch
+    # the serve loop: responses, health, restarts, dispatch
     # ------------------------------------------------------------------
 
-    async def _poll_loop(self) -> None:
+    async def _serve_loop(self) -> None:
         while True:
+            await self._wake.wait()
+            self._wake.clear()
             self._drain_responses()
             self._check_health()
             self._restart_due_shards()
             self._dispatch()
-            await self._degrade_stranded()
+            self._degrade_stranded()
             self.metrics.queue_depth = sum(
                 len(handle.queue) for handle in self.shards
             )
+
+    async def _tick_loop(self) -> None:
+        """The health timer: heartbeats, restart backoff, cooldowns."""
+        while True:
             await self.clock.sleep(self.config.poll_tick)
+            self._wake.set()
 
     def _drain_responses(self) -> None:
         for handle in self.shards:
-            if handle.response_queue is None:
+            if handle.process is None:
                 continue
-            while True:
-                try:
-                    message = handle.response_queue.get_nowait()
-                except (queue_module.Empty, OSError):
-                    break
-                self._handle_message(handle, message)
+            responses = handle.responses
+            try:
+                while responses.poll():
+                    self._handle_message(handle, responses.recv())
+                    if handle.responses is not responses:
+                        break  # the message failed the shard over
+            except (EOFError, OSError):
+                # The worker exited; its sentinel wakes _check_health.
+                continue
 
     def _handle_message(self, handle: ShardHandle, message) -> None:
         now = self.clock.now()
@@ -566,8 +629,13 @@ class SimulationService:
         now = self.clock.now()
         if handle.breaker.record_failure():
             self.metrics.breaker_trips += 1
+        self._unwatch(handle)
         stop_shard(handle, kill=kill)
         handle.process = None
+        handle.requests = handle.responses = None
+        # Redelivered work may now sit on a queue this pass already
+        # dispatched from: go round again.
+        self._wake.set()
         entry = handle.current
         handle.current = None
         if entry is not None:
@@ -582,7 +650,7 @@ class SimulationService:
             entry.shard_id = None
             if entry.redeliveries > self.config.max_redeliveries:
                 entry.record("serial_fallback", now)
-                # Routed by _degrade_stranded on the next tick.
+                # Picked up by _degrade_stranded later in this pass.
                 entry.stolen = False
                 self._serial_queue_mark(entry)
             else:
@@ -638,12 +706,13 @@ class SimulationService:
             # fire once, so recovery is observable.
             fresh = self._spawn(handle.shard_id, with_fault=False)
             handle.process = fresh.process
-            handle.request_queue = fresh.request_queue
-            handle.response_queue = fresh.response_queue
+            handle.requests = fresh.requests
+            handle.responses = fresh.responses
             handle.heartbeat = fresh.heartbeat
             handle.last_beat = -1
             handle.last_beat_changed = now
             handle.restart_at = None
+            self._watch(handle)
 
     # -- dispatch + stealing -------------------------------------------
 
@@ -663,12 +732,12 @@ class SimulationService:
                          stolen=entry.stolen)
             handle.current = entry
             try:
-                handle.request_queue.put(("job", entry.key, entry.job))
+                handle.requests.send(("job", entry.key, entry.job))
             except (OSError, ValueError) as error:
                 self._shard_failed(
                     handle,
                     ShardFailureError(
-                        f"shard {handle.shard_id} request queue broken: "
+                        f"shard {handle.shard_id} request pipe broken: "
                         f"{error}",
                         shard_id=handle.shard_id,
                         reason="crash",
@@ -697,9 +766,12 @@ class SimulationService:
 
     # -- terminal degradation ------------------------------------------
 
-    async def _degrade_stranded(self) -> None:
-        """Serial in-process execution: the ladder's last rung."""
-        pending = self._serial_pending
+    def _degrade_stranded(self) -> None:
+        """Serial in-process execution: the ladder's last rung.
+
+        Stranded work runs on a tracked task, so the serve loop keeps
+        draining, health-checking and dispatching meanwhile.
+        """
         fleet_dead = all(
             handle.retired or (handle.process is None
                                and handle.restart_at is None)
@@ -707,9 +779,15 @@ class SimulationService:
         )
         if fleet_dead:
             for handle in self.shards:
-                stranded = list(handle.queue)
+                self._serial_pending.extend(handle.queue)
                 handle.queue.clear()
-                pending.extend(stranded)
+        if self._serial_pending and (
+            self._serial_task is None or self._serial_task.done()
+        ):
+            self._serial_task = asyncio.ensure_future(self._serial_drain())
+
+    async def _serial_drain(self) -> None:
+        pending = self._serial_pending
         while pending:
             entry = pending.pop(0)
             if entry.state == DONE or entry.state == FAILED:

@@ -29,7 +29,6 @@ from repro.errors import (
     ConfigError,
     JobExecutionError,
     ReproError,
-    ServiceError,
     ServiceOverloadError,
 )
 from repro.service.coordinator import DONE, FAILED, SimulationService
@@ -169,12 +168,15 @@ class ServiceHTTPServer:
             return
         if method == "GET" and path.startswith("/result/"):
             ticket = path[len("/result/"):]
-            try:
-                result = await service.result(ticket)
-            except ServiceError as unknown:
-                writer.write(_response(404, {"error": "unknown_ticket",
-                                             "message": str(unknown)}))
+            if service.status(ticket) is None:
+                writer.write(_response(404, {
+                    "error": "unknown_ticket",
+                    "message": f"unknown ticket {ticket!r}",
+                }))
                 return
+            # Any other ServiceError (the service stopping under the
+            # waiter) is a structured 500 from _handle.
+            result = await service.result(ticket)
             payload = (result_to_wire(result)
                        if hasattr(result, "to_dict") else result)
             writer.write(_response(200, {"ticket": ticket,

@@ -14,6 +14,11 @@ needs:
 - an **integrity digest**: results travel back as pickled bytes plus
   their SHA-256, so a payload corrupted in flight (or by a sick worker)
   is detected before it can reach a client or the store;
+- two one-way **pipes**, requests in and responses out.  A shard holds
+  at most one job, so at most one message is in flight each way; the
+  coordinator registers the response pipe's read end (and the process
+  sentinel) with its event loop to wake the moment an answer or an
+  exit lands;
 - deterministic **fault injection** hooks for the ``service`` chaos
   family (:mod:`repro.service.faults`) — kill, heartbeat-freeze and
   payload corruption fire on the n-th job of the configured shard,
@@ -75,8 +80,8 @@ def _error_info(exc: Exception) -> dict:
 
 def shard_main(
     shard_id: int,
-    request_queue,
-    response_queue,
+    requests,
+    responses,
     heartbeat,
     heartbeat_interval: float,
     fault: Optional[ServiceFaultSpec] = None,
@@ -84,9 +89,10 @@ def shard_main(
     """The worker-process entry point.
 
     Protocol: the coordinator sends ``("job", key, job)`` and
-    ``("stop",)`` on ``request_queue``; the worker answers with
+    ``("stop",)`` on ``requests``; the worker answers with
     ``(shard_id, "done", key, payload, digest, trace_evictions)`` or
-    ``(shard_id, "error", key, error_info)`` on ``response_queue``.
+    ``(shard_id, "error", key, error_info)`` on ``responses``.  Both are
+    one-way :func:`multiprocessing.Pipe` ends.
     """
     import os
 
@@ -102,7 +108,10 @@ def shard_main(
     beat.start()
     jobs_executed = 0
     while True:
-        message = request_queue.get()
+        try:
+            message = requests.recv()
+        except EOFError:
+            break  # the coordinator is gone
         if message[0] == "stop":
             break
         _, key, job = message
@@ -120,7 +129,7 @@ def shard_main(
         try:
             result = job.run()
         except Exception as exc:
-            response_queue.put((shard_id, MSG_ERROR, key, _error_info(exc)))
+            responses.send((shard_id, MSG_ERROR, key, _error_info(exc)))
             continue
         if fault_due and fault.kind == "shard_kill":
             os._exit(KILL_EXIT_CODE)
@@ -129,7 +138,7 @@ def shard_main(
         if fault_due and fault.kind == "corrupt_result":
             # Flip one byte *after* digesting: the checksum must catch it.
             payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
-        response_queue.put(
+        responses.send(
             (shard_id, MSG_DONE, key, payload, digest,
              trace_memo_evictions())
         )
@@ -142,8 +151,9 @@ class ShardHandle:
 
     shard_id: int
     process: Any = None
-    request_queue: Any = None
-    response_queue: Any = None
+    #: Coordinator ends of the request (send) and response (recv) pipes.
+    requests: Any = None
+    responses: Any = None
     heartbeat: Any = None
     #: Last heartbeat count observed, and the coordinator-clock time it
     #: changed (liveness is "the count moved recently").
@@ -189,21 +199,25 @@ def spawn_shard(
 ) -> ShardHandle:
     """Start one worker process and return its handle."""
     ctx = context if context is not None else multiprocessing.get_context()
-    request_queue = ctx.Queue()
-    response_queue = ctx.Queue()
+    request_reader, requests = ctx.Pipe(duplex=False)
+    responses, response_writer = ctx.Pipe(duplex=False)
     heartbeat = ctx.Value("Q", 0)
     process = ctx.Process(
         target=shard_main,
-        args=(shard_id, request_queue, response_queue, heartbeat,
+        args=(shard_id, request_reader, response_writer, heartbeat,
               heartbeat_interval, fault),
         daemon=True,
     )
     process.start()
+    # Only the worker keeps the far ends: once it exits, reads on
+    # `responses` see EOF and sends on `requests` fail fast.
+    request_reader.close()
+    response_writer.close()
     return ShardHandle(
         shard_id=shard_id,
         process=process,
-        request_queue=request_queue,
-        response_queue=response_queue,
+        requests=requests,
+        responses=responses,
         heartbeat=heartbeat,
     )
 
@@ -214,16 +228,11 @@ def stop_shard(handle: ShardHandle, kill: bool = False) -> None:
         return
     if not kill and handle.alive:
         try:
-            handle.request_queue.put(("stop",))
+            handle.requests.send(("stop",))
         except (OSError, ValueError):
             kill = True
     if kill and handle.alive:
         handle.process.kill()
     handle.process.join(timeout=2.0)
-    # A killed worker may strand its queue feeder threads; cancel them so
-    # interpreter shutdown never blocks on a dead shard's buffers.
-    for queue in (handle.request_queue, handle.response_queue):
-        try:
-            queue.cancel_join_thread()
-        except (AttributeError, OSError):
-            continue
+    handle.requests.close()
+    handle.responses.close()

@@ -88,10 +88,13 @@ class SuicideJob:
 
     The in-process path matters: after the redelivery budget is spent
     the coordinator's serial fallback runs the job in the main process,
-    which must yield the real result, not kill the test.
+    which must yield the real result, not kill the test.  ``duration``
+    holds that in-process run (never the worker, which dies at once),
+    so tests can watch the coordinator while the fallback is busy.
     """
 
     name: str
+    duration: float = 0.0
 
     def key(self) -> str:
         return hashlib.sha256(f"suicide:{self.name}".encode()).hexdigest()
@@ -99,5 +102,7 @@ class SuicideJob:
     def run(self) -> StubResult:
         if _in_worker():
             os.kill(os.getpid(), signal.SIGKILL)
+        if self.duration:
+            time.sleep(self.duration)
         digest = hashlib.sha256(self.name.encode()).digest()
         return StubResult(self.name, int.from_bytes(digest[:4], "big"))

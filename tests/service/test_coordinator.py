@@ -206,3 +206,31 @@ def test_healthz_reports_fleet_shape():
             assert len(health["shards"]) == 2
 
     run(main())
+
+
+def test_requests_do_not_wait_for_the_tick():
+    # A 30 s health tick: the campaign can only finish in time if
+    # submissions and shard responses wake the coordinator themselves.
+    async def main():
+        async with SimulationService(fast_config(poll_tick=30.0)) as service:
+            jobs = [StubJob(f"eventful-{i}") for i in range(8)]
+            results = await asyncio.wait_for(service.run_jobs(jobs), 5.0)
+            assert results == [job.run() for job in jobs]
+            assert service.metrics.completed == 8
+
+    run(main())
+
+
+def test_stop_fails_in_flight_waiters():
+    async def main():
+        service = SimulationService(fast_config(shards=1))
+        await service.start()
+        ticket = service.submit(StubJob("stranded", duration=1.0))["ticket"]
+        waiter = asyncio.ensure_future(service.result(ticket))
+        await asyncio.sleep(0.1)
+        await service.stop()
+        with pytest.raises(ServiceError, match="service stopped"):
+            await asyncio.wait_for(waiter, 3.0)
+        assert service.status(ticket)["state"] == "failed"
+
+    run(main())

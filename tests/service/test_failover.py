@@ -149,3 +149,47 @@ def test_redelivery_budget_falls_back_to_serial():
             assert service.metrics.redeliveries >= 1
 
     run(main())
+
+
+def test_crash_is_detected_without_the_tick():
+    # With a 30 s tick only the process-exit wake can notice the kill
+    # in time; the survivor then takes the redelivered job.
+    async def main():
+        fault = ServiceFaultSpec(kind="shard_kill", shard=0, trigger=1)
+        config = fast_config(poll_tick=30.0)
+        async with SimulationService(config, fault=fault) as service:
+            jobs = [StubJob(f"sentinel-{i}") for i in range(8)]
+            results = await asyncio.wait_for(service.run_jobs(jobs), 5.0)
+            assert results == [job.run() for job in jobs]
+            assert service.metrics.shard_crashes == 1
+            assert service.metrics.redeliveries == 1
+
+    run(main())
+
+
+def test_serial_fallback_does_not_block_the_fleet():
+    async def main():
+        config = fast_config(max_redeliveries=0, breaker_threshold=10)
+        async with SimulationService(config) as service:
+            slow = SuicideJob("slow-serial", duration=1.5)
+            slow_ticket = service.submit(slow)["ticket"]
+
+            async def serial_started():
+                while not any(
+                    event["event"] == "serial_run"
+                    for event in service.status(slow_ticket)["events"]
+                ):
+                    await asyncio.sleep(0.01)
+
+            await asyncio.wait_for(serial_started(), 3.0)
+            quick = StubJob("quick-beside-serial")
+            result = await service.result(service.submit(quick)["ticket"])
+            assert result == quick.run()
+            # The quick job settled while the in-process run still held
+            # the fallback.
+            assert service.status(slow_ticket)["state"] == "running"
+            slow_result = await service.result(slow_ticket)
+            assert slow_result.to_dict() == slow.run().to_dict()
+            assert service.metrics.serial_fallbacks == 1
+
+    run(main())

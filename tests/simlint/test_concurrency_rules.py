@@ -13,9 +13,15 @@ from repro.simlint import lint_paths, load_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: The poll-loop tick: every seed below lands inside `_poll_loop`, an
-#: async def running on the coordinator's event loop.
-NEEDLE = "await self.clock.sleep(self.config.poll_tick)"
+#: The serve loop's wait for its next wake-up: the blocking-sleep and
+#: sync-lock seeds land inside `_serve_loop`, an async def running on the
+#: coordinator's event loop.
+NEEDLE = "await self._wake.wait()"
+
+#: The serial fallback's await on one in-process job: the discarded-
+#: coroutine and stale-write seeds land inside `_serial_drain`, the
+#: tracked task that runs stranded work on the same event loop.
+SERIAL_NEEDLE = "await self._run_serial(entry)"
 
 
 def seeded_report(tmp_path, mutate):
@@ -55,7 +61,7 @@ def test_seeded_blocking_sleep_fires_sl501(tmp_path):
 
 def test_seeded_discarded_coroutine_fires_sl502(tmp_path):
     report = seeded_report(tmp_path, lambda s: s.replace(
-        "await self._degrade_stranded()", "self._degrade_stranded()", 1
+        SERIAL_NEEDLE, "self._run_serial(entry)", 1
     ))
     assert report.exit_code == 1
     assert rules_of(report) == ["SL502"]
@@ -74,11 +80,11 @@ def test_seeded_await_under_sync_lock_fires_sl503(tmp_path):
 def test_seeded_stale_read_modify_write_fires_sl504(tmp_path):
     seed = (
         "depth = self.metrics.queue_depth\n"
-        "            await self._degrade_stranded()\n"
+        "            " + SERIAL_NEEDLE + "\n"
         "            self.metrics.queue_depth = depth + 1"
     )
     report = seeded_report(tmp_path, lambda s: s.replace(
-        "await self._degrade_stranded()", seed, 1
+        SERIAL_NEEDLE, seed, 1
     ))
     assert report.exit_code == 1
     assert rules_of(report) == ["SL504"]
