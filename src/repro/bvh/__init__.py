@@ -6,7 +6,7 @@ the paper's Fig. 3 walkthrough), laid out into a simulated global-memory
 address space so the timing model sees realistic node-fetch addresses.
 """
 
-from repro.bvh.node import BinaryNode, WideNode
+from repro.bvh.node import WideNode
 from repro.bvh.builder import BinaryBVH, build_binary_bvh
 from repro.bvh.wide import WideBVH, collapse_to_wide
 from repro.bvh.layout import assign_addresses, MemoryLayout
@@ -15,7 +15,6 @@ from repro.bvh.validate import validate_binary, validate_wide
 from repro.bvh.api import build_bvh
 
 __all__ = [
-    "BinaryNode",
     "WideNode",
     "BinaryBVH",
     "build_binary_bvh",

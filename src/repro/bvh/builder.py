@@ -1,27 +1,27 @@
-"""Binary BVH construction.
+"""Binary BVH construction, one depth level at a time.
 
-Supports two split strategies:
+Two split strategies: ``"median"`` sorts centroids along the longest
+axis and splits in half (the default every scene and driver uses);
+``"sah"`` is a binned surface-area heuristic, reachable only through
+the ``strategy`` parameter of :func:`repro.bvh.api.build_bvh`.
 
-* ``"median"`` — sort centroids along the longest axis and split in half;
-  fast and balanced, our default for the large workload sweep.
-* ``"sah"`` — binned surface-area heuristic; produces the tighter,
-  more-adaptive trees real builders emit (and more varied traversal
-  depths), used by the higher-fidelity scenes.
-
-Construction is iterative (explicit work stack) so pathological scenes
-cannot overflow Python's recursion limit.
+Every node owns a contiguous range of one primitive permutation, its
+left child's range before its right's.  Each level splits all nodes
+that are still too large at once, with segmented numpy reductions and
+one segmented stable sort.  Ties resolve as in a per-node build (first
+axis of largest extent, stable sort, first SAH boundary of least cost),
+so the trees are the same as a per-node build's, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import BVHError
-from repro.bvh.node import NO_NODE, BinaryNode
-from repro.geometry.aabb import AABB, surface_area
+from repro.bvh.node import NO_NODE
+from repro.geometry.aabb import surface_areas
 from repro.scene.scene import Scene
 
 _SAH_BINS = 16
@@ -31,112 +31,100 @@ _SAH_INTERSECT_COST = 2.0
 
 @dataclass
 class BinaryBVH:
-    """The intermediate binary BVH over a scene.
+    """The intermediate binary BVH over a scene, as flat per-node arrays.
 
-    ``prim_order`` maps leaf primitive ranges to scene ``prim_id``s: leaf
-    node ``n`` owns ``prim_order[n.first_prim : n.first_prim + n.prim_count]``.
+    Node ``n`` is bounded by ``lo[n]`` / ``hi[n]``.  Internal nodes have
+    children ``left[n]`` / ``right[n]`` and ``prim_count[n] == 0``;
+    leaves have ``NO_NODE`` children and own the scene prim ids
+    ``prim_order[first_prim[n] : first_prim[n] + prim_count[n]]``.
+    Nodes are numbered level by level from the root, 0.
     """
 
     scene: Scene
-    nodes: List[BinaryNode] = field(default_factory=list)
-    prim_order: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    root: int = NO_NODE
+    lo: np.ndarray
+    hi: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    first_prim: np.ndarray
+    prim_count: np.ndarray
+    prim_order: np.ndarray
+    root: int = 0
 
     @property
     def node_count(self) -> int:
         """Total number of nodes."""
-        return len(self.nodes)
+        return len(self.left)
+
+    def is_leaf(self, node_index: int) -> bool:
+        """Leaves own primitives; internal nodes own children."""
+        return bool(self.prim_count[node_index] > 0)
 
     def leaf_prims(self, node_index: int) -> np.ndarray:
         """Scene prim ids owned by leaf ``node_index``."""
-        node = self.nodes[node_index]
-        if not node.is_leaf:
+        if not self.is_leaf(node_index):
             raise BVHError(f"node {node_index} is not a leaf")
-        return self.prim_order[node.first_prim : node.first_prim + node.prim_count]
+        first = self.first_prim[node_index]
+        return self.prim_order[first : first + self.prim_count[node_index]]
 
 
-def _prim_bounds_arrays(scene: Scene) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-triangle (lo, hi) arrays, each of shape (n, 3)."""
-    los = scene.vertices.min(axis=1)
-    his = scene.vertices.max(axis=1)
-    return los, his
+def _segment_extremes(ufunc, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``ufunc.reduceat(values, starts, axis=0)``, signed zeros included.
+
+    ``-0.0 == 0.0``, so which zero a reduction keeps depends on its
+    order; a per-node ``.min(axis=0)`` keeps the last, and so does this.
+    """
+    out = ufunc.reduceat(values, starts, axis=0)
+    zero = out == 0
+    if zero.any():
+        rows = np.where(values == 0, np.arange(len(values))[:, None], -1)
+        last = np.maximum.reduceat(rows, starts, axis=0)
+        out[zero] = values[last[zero], np.nonzero(zero)[1]]
+    return out
 
 
-def _range_bounds(los: np.ndarray, his: np.ndarray, ids: np.ndarray) -> AABB:
-    return AABB(lo=los[ids].min(axis=0), hi=his[ids].max(axis=0))
+def _sah_partition(cents, axis, cmin, extent, seg, counts, los, his, ids):
+    """Per-segment binned SAH: ``(sort key, left count, usable)``.
 
-
-def _median_split(
-    centroids: np.ndarray, ids: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Split ``ids`` at the centroid median of the longest-extent axis."""
-    cents = centroids[ids]
-    extent = cents.max(axis=0) - cents.min(axis=0)
-    axis = int(np.argmax(extent))
-    order = ids[np.argsort(cents[:, axis], kind="stable")]
-    mid = len(order) // 2
-    return order[:mid], order[mid:]
-
-
-def _sah_split(
-    centroids: np.ndarray,
-    los: np.ndarray,
-    his: np.ndarray,
-    ids: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Binned SAH split; falls back to median when SAH finds no gain."""
-    cents = centroids[ids]
-    lo = cents.min(axis=0)
-    hi = cents.max(axis=0)
-    extent = hi - lo
-    axis = int(np.argmax(extent))
-    if extent[axis] <= 1e-12:
-        return _median_split(centroids, ids)
-
+    The key sorts a segment's left side (bins up to the best boundary)
+    before its right; ``usable`` is False where the centroid extent is
+    degenerate or no boundary leaves both sides non-empty, and those
+    segments fall back to the median split.
+    """
+    groups = len(counts)
+    rows = np.arange(groups)
+    ext_axis = extent[rows, axis]
+    degenerate = ext_axis <= 1e-12
+    scale = np.where(degenerate, 1.0, ext_axis)[seg]
     bins = np.minimum(
-        ((cents[:, axis] - lo[axis]) / extent[axis] * _SAH_BINS).astype(np.int64),
+        ((cents - cmin[rows, axis][seg]) / scale * _SAH_BINS).astype(np.int64),
         _SAH_BINS - 1,
     )
-    # Sweep bin boundaries accumulating bounds+counts from both ends.
-    best_cost = np.inf
-    best_boundary = -1
-    counts = np.bincount(bins, minlength=_SAH_BINS)
-    left_area = np.zeros(_SAH_BINS)
-    right_area = np.zeros(_SAH_BINS)
-    acc = AABB.empty()
-    for b in range(_SAH_BINS):
-        members = ids[bins == b]
-        if len(members):
-            acc = AABB(
-                lo=np.minimum(acc.lo, los[members].min(axis=0)),
-                hi=np.maximum(acc.hi, his[members].max(axis=0)),
-            )
-        left_area[b] = surface_area(acc)
-    acc = AABB.empty()
-    for b in range(_SAH_BINS - 1, -1, -1):
-        members = ids[bins == b]
-        if len(members):
-            acc = AABB(
-                lo=np.minimum(acc.lo, los[members].min(axis=0)),
-                hi=np.maximum(acc.hi, his[members].max(axis=0)),
-            )
-        right_area[b] = surface_area(acc)
-    left_counts = np.cumsum(counts)
-    for b in range(_SAH_BINS - 1):
-        n_left = left_counts[b]
-        n_right = len(ids) - n_left
-        if n_left == 0 or n_right == 0:
-            continue
-        cost = _SAH_TRAVERSAL_COST + _SAH_INTERSECT_COST * (
-            left_area[b] * n_left + right_area[b + 1] * n_right
-        )
-        if cost < best_cost:
-            best_cost = cost
-            best_boundary = b
-    if best_boundary < 0:
-        return _median_split(centroids, ids)
-    left_mask = bins <= best_boundary
-    return ids[left_mask], ids[~left_mask]
+    group = seg * _SAH_BINS + bins
+    bin_lo = np.full((groups * _SAH_BINS, 3), np.inf)
+    bin_hi = np.full((groups * _SAH_BINS, 3), -np.inf)
+    np.minimum.at(bin_lo, group, los[ids])
+    np.maximum.at(bin_hi, group, his[ids])
+    bin_lo = bin_lo.reshape(groups, _SAH_BINS, 3)
+    bin_hi = bin_hi.reshape(groups, _SAH_BINS, 3)
+    left_area = surface_areas(
+        np.minimum.accumulate(bin_lo, axis=1), np.maximum.accumulate(bin_hi, axis=1)
+    )
+    right_area = surface_areas(
+        np.minimum.accumulate(bin_lo[:, ::-1], axis=1)[:, ::-1],
+        np.maximum.accumulate(bin_hi[:, ::-1], axis=1)[:, ::-1],
+    )
+    bin_counts = np.bincount(group, minlength=groups * _SAH_BINS)
+    n_left = np.cumsum(bin_counts.reshape(groups, _SAH_BINS), axis=1)[:, :-1]
+    n_right = counts[:, None] - n_left
+    cost = _SAH_TRAVERSAL_COST + _SAH_INTERSECT_COST * (
+        left_area[:, :-1] * n_left + right_area[:, 1:] * n_right
+    )
+    valid = (n_left > 0) & (n_right > 0) & (cost < np.inf)
+    cost = np.where(valid, cost, np.inf)
+    best = np.argmin(cost, axis=1)  # first strict minimum
+    usable = ~degenerate & valid[rows, best]
+    key = (bins > best[seg]).astype(np.float64)
+    return key, n_left[rows, best], usable
 
 
 def build_binary_bvh(
@@ -161,45 +149,59 @@ def build_binary_bvh(
     if strategy not in ("median", "sah"):
         raise BVHError(f"unknown split strategy {strategy!r}")
 
-    los, his = _prim_bounds_arrays(scene)
+    los = scene.vertices.min(axis=1)
+    his = scene.vertices.max(axis=1)
     centroids = scene.centroids()
-    bvh = BinaryBVH(scene=scene)
-    prim_order: List[np.ndarray] = []
-    next_prim_offset = 0
+    prim_order = np.empty(scene.triangle_count, dtype=np.int64)
+    levels = []
+    # One level: the prim ids of its nodes, concatenated in node order,
+    # each node's prim count and its range start in ``prim_order``.
+    ids = np.arange(scene.triangle_count, dtype=np.int64)
+    counts = np.array([scene.triangle_count], dtype=np.int64)
+    first = np.zeros(1, dtype=np.int64)
+    next_index = 1
+    while True:
+        starts = np.cumsum(counts) - counts
+        lo = _segment_extremes(np.minimum, los[ids], starts)
+        hi = _segment_extremes(np.maximum, his[ids], starts)
+        split = counts > max_leaf_size
+        leaf_elems = np.repeat(~split, counts)
+        positions = np.repeat(first - starts, counts) + np.arange(len(ids))
+        prim_order[positions[leaf_elems]] = ids[leaf_elems]
 
-    all_ids = np.arange(scene.triangle_count, dtype=np.int64)
-    bvh.nodes.append(BinaryNode(bounds=_range_bounds(los, his, all_ids)))
-    bvh.root = 0
-    # Work stack of (node_index, prim ids to place under it).
-    work: List[Tuple[int, np.ndarray]] = [(0, all_ids)]
-    while work:
-        node_index, ids = work.pop()
-        node = bvh.nodes[node_index]
-        if len(ids) <= max_leaf_size:
-            node.first_prim = next_prim_offset
-            node.prim_count = len(ids)
-            prim_order.append(ids)
-            next_prim_offset += len(ids)
-            continue
+        n_split = int(split.sum())
+        left = np.full(len(counts), NO_NODE, dtype=np.int64)
+        left[split] = next_index + 2 * np.arange(n_split)
+        right = np.where(split, left + 1, NO_NODE)
+        levels.append((lo, hi, left, right, first, np.where(split, 0, counts)))
+        next_index += 2 * n_split
+
+        ids = ids[np.repeat(split, counts)]
+        counts, first = counts[split], first[split]
+        if not n_split:
+            break
+        starts = np.cumsum(counts) - counts
+        seg = np.repeat(np.arange(n_split), counts)
+        cents = centroids[ids]
+        cmin = np.minimum.reduceat(cents, starts, axis=0)
+        extent = np.maximum.reduceat(cents, starts, axis=0) - cmin
+        axis = np.argmax(extent, axis=1)  # first axis wins ties
+        cents = cents[np.arange(len(ids)), axis[seg]]
+        key, n_left = cents, counts // 2
         if strategy == "sah":
-            left_ids, right_ids = _sah_split(centroids, los, his, ids)
-        else:
-            left_ids, right_ids = _median_split(centroids, ids)
-        if len(left_ids) == 0 or len(right_ids) == 0:
-            # Degenerate split (all centroids identical): force a half split.
-            mid = len(ids) // 2
-            left_ids, right_ids = ids[:mid], ids[mid:]
-        left_index = len(bvh.nodes)
-        bvh.nodes.append(BinaryNode(bounds=_range_bounds(los, his, left_ids)))
-        right_index = len(bvh.nodes)
-        bvh.nodes.append(BinaryNode(bounds=_range_bounds(los, his, right_ids)))
-        node.left = left_index
-        node.right = right_index
-        # LIFO order: right first so left subtrees materialize first.
-        work.append((right_index, right_ids))
-        work.append((left_index, left_ids))
+            sah_key, sah_left, usable = _sah_partition(
+                cents, axis, cmin, extent, seg, counts, los, his, ids
+            )
+            key = np.where(usable[seg], sah_key, cents)
+            n_left = np.where(usable, sah_left, n_left)
+        ids = ids[np.lexsort((key, seg))]  # stable sort within each segment
+        counts = np.stack([n_left, counts - n_left], axis=1).ravel()
+        first = np.stack([first, first + n_left], axis=1).ravel()
 
-    bvh.prim_order = (
-        np.concatenate(prim_order) if prim_order else np.zeros(0, dtype=np.int64)
+    lo, hi, left, right, first_prim, prim_count = (
+        np.concatenate(column) for column in zip(*levels)
     )
-    return bvh
+    return BinaryBVH(
+        scene=scene, lo=lo, hi=hi, left=left, right=right,
+        first_prim=first_prim, prim_count=prim_count, prim_order=prim_order,
+    )

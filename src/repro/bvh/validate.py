@@ -19,36 +19,29 @@ _EPS = 1e-9
 
 def validate_binary(bvh: BinaryBVH) -> None:
     """Raise :class:`BVHError` if the binary BVH violates an invariant."""
-    if bvh.root == NO_NODE:
-        raise BVHError("binary BVH has no root")
     seen_prims: Set[int] = set()
     stack = [bvh.root]
     visited = 0
     while stack:
         index = stack.pop()
-        node = bvh.nodes[index]
+        left, right = int(bvh.left[index]), int(bvh.right[index])
         visited += 1
-        if node.is_leaf:
-            if node.left != NO_NODE or node.right != NO_NODE:
+        if bvh.is_leaf(index):
+            if left != NO_NODE or right != NO_NODE:
                 raise BVHError(f"leaf {index} has children")
             for prim in bvh.leaf_prims(index):
                 if int(prim) in seen_prims:
                     raise BVHError(f"primitive {prim} reachable from two leaves")
                 seen_prims.add(int(prim))
         else:
-            if node.left == NO_NODE or node.right == NO_NODE:
+            if left == NO_NODE or right == NO_NODE:
                 raise BVHError(f"internal node {index} is missing a child")
-            for child in (node.left, node.right):
-                child_bounds = bvh.nodes[child].bounds
-                if not _contained(node.bounds, child_bounds):
-                    raise BVHError(
-                        f"child {child} bounds escape parent {index} bounds"
-                    )
+            for child in (left, right):
+                if not _contained(bvh.lo[index], bvh.hi[index], bvh.lo[child], bvh.hi[child]):
+                    raise BVHError(f"child {child} bounds escape parent {index} bounds")
                 stack.append(child)
     if visited != bvh.node_count:
-        raise BVHError(
-            f"{bvh.node_count - visited} binary nodes unreachable from root"
-        )
+        raise BVHError(f"{bvh.node_count - visited} binary nodes unreachable from root")
     if seen_prims != set(range(bvh.scene.triangle_count)):
         raise BVHError("binary BVH does not cover every scene primitive exactly once")
 
@@ -82,7 +75,8 @@ def validate_wide(wide: WideBVH) -> None:
             child_node = wide.nodes[child]
             if child_node.depth != node.depth + 1:
                 raise BVHError(f"node {child} has wrong depth annotation")
-            if not _contained(node.bounds, child_node.bounds):
+            parent, box = node.bounds, child_node.bounds
+            if not _contained(parent.lo, parent.hi, box.lo, box.hi):
                 raise BVHError(f"child {child} bounds escape parent {index} bounds")
             stack.append(child)
     if visited != wide.node_count:
@@ -91,8 +85,8 @@ def validate_wide(wide: WideBVH) -> None:
         raise BVHError("wide BVH does not cover every scene primitive exactly once")
 
 
-def _contained(parent, child) -> bool:
+def _contained(parent_lo, parent_hi, child_lo, child_hi) -> bool:
     """Containment with a small epsilon for floating-point slack."""
     return bool(
-        (child.lo >= parent.lo - _EPS).all() and (child.hi <= parent.hi + _EPS).all()
+        (child_lo >= parent_lo - _EPS).all() and (child_hi <= parent_hi + _EPS).all()
     )

@@ -5,20 +5,21 @@ Wide BVHs raise the branching factor so each internal node can push up to
 short traversal stacks in the paper (Fig. 3 shows a BVH6 with a 4-entry
 stack).  Collapse follows the usual approach: repeatedly replace the
 largest-surface-area internal slot with its two binary children until the
-node has ``k`` slots or only leaves remain.
+node has ``k`` slots or only leaves remain — here for every wide node of
+one level at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from repro.errors import BVHError
 from repro.bvh.builder import BinaryBVH
 from repro.bvh.node import WideNode
-from repro.geometry.aabb import surface_area
+from repro.geometry.aabb import AABB, surface_areas
 from repro.scene.scene import Scene
 
 
@@ -100,25 +101,31 @@ class WideBVH:
         return max((node.depth for node in self.nodes), default=0)
 
 
-def _gather_wide_children(binary: BinaryBVH, binary_root: int, width: int) -> List[int]:
-    """Pick up to ``width`` binary-node indices forming one wide node's children."""
-    slots = [binary_root]
-    while len(slots) < width:
-        # Expand the internal slot with the largest surface area.
-        best = -1
-        best_area = -1.0
-        for pos, b_index in enumerate(slots):
-            node = binary.nodes[b_index]
-            if node.is_leaf:
-                continue
-            area = surface_area(node.bounds)
-            if area > best_area:
-                best_area = area
-                best = pos
-        if best < 0:
-            break  # all slots are leaves
-        node = binary.nodes[slots[best]]
-        slots[best : best + 1] = [node.left, node.right]
+def _gather_wide_children(
+    binary: BinaryBVH, area: np.ndarray, roots: np.ndarray, width: int
+) -> np.ndarray:
+    """Row ``g``: the binary children of the wide node over ``roots[g]``.
+
+    Rows are padded with -1.  Each step expands, in every row at once,
+    the slot of largest ``area`` (first slot wins ties) into its two
+    binary children; leaves and the padding (``area[-1]``) are ``-inf``.
+    """
+    slots = np.full((len(roots), width), -1, dtype=np.int64)
+    slots[:, 0] = roots
+    cols = np.arange(width)
+    for _ in range(width - 1):
+        slot_area = area[slots]
+        best = slot_area.argmax(axis=1)
+        grow = np.flatnonzero(slot_area[np.arange(len(slots)), best] > -np.inf)
+        if not len(grow):
+            break
+        pos = best[grow]
+        rows = slots[grow]
+        expanded = rows[np.arange(len(grow)), pos]
+        rows = np.take_along_axis(rows, np.where(cols > pos[:, None], cols - 1, cols), 1)
+        rows[np.arange(len(grow)), pos] = binary.left[expanded]
+        rows[np.arange(len(grow)), pos + 1] = binary.right[expanded]
+        slots[grow] = rows
     return slots
 
 
@@ -127,51 +134,56 @@ def collapse_to_wide(binary: BinaryBVH, width: int = 6) -> WideBVH:
 
     Binary leaves map 1:1 to wide leaves; binary internal nodes are grouped
     so every wide internal node has between 2 and ``width`` children.
+    Wide indices follow a LIFO work stack: each node's children are
+    numbered consecutively, and the last internal child is expanded first.
     """
     if width < 2:
         raise BVHError("wide BVH width must be >= 2")
-    wide = WideBVH(scene=binary.scene, width=width)
+    internal = (binary.prim_count == 0).tolist()
+    area = np.append(np.where(internal, surface_areas(binary.lo, binary.hi), -np.inf), -np.inf)
+    children_of: Dict[int, List[int]] = {}
+    level = np.array([binary.root] if internal[binary.root] else [], dtype=np.int64)
+    while len(level):
+        slots = _gather_wide_children(binary, area, level, width)
+        for root, row in zip(level.tolist(), slots.tolist()):
+            children_of[root] = [b for b in row if b >= 0]
+        level = slots[slots >= 0]
+        level = level[binary.prim_count[level] == 0]
 
-    root_binary = binary.nodes[binary.root]
-    wide.nodes.append(WideNode(index=0, bounds=root_binary.bounds, depth=0))
-    if root_binary.is_leaf:
-        wide.nodes[0].prim_ids = list(binary.leaf_prims(binary.root))
-        _finalize_child_arrays(wide)
-        return wide
-
-    # Work stack of (wide node index, binary node index backing it).
-    work: List[Tuple[int, int]] = [(0, binary.root)]
+    backing = [binary.root]  # binary node behind each wide index
+    depth = [0]
+    first_child = [0]
+    child_count = [0]
+    work = [0] if internal[binary.root] else []
     while work:
-        wide_index, binary_index = work.pop()
-        parent = wide.nodes[wide_index]
-        for child_binary in _gather_wide_children(binary, binary_index, width):
-            child_node = binary.nodes[child_binary]
-            child_index = len(wide.nodes)
-            child = WideNode(
-                index=child_index, bounds=child_node.bounds, depth=parent.depth + 1
-            )
-            wide.nodes.append(child)
-            parent.children.append(child_index)
-            if child_node.is_leaf:
-                child.prim_ids = list(binary.leaf_prims(child_binary))
-            else:
-                work.append((child_index, child_binary))
-    _finalize_child_arrays(wide)
+        wide_index = work.pop()
+        kids = children_of[backing[wide_index]]
+        first_child[wide_index] = len(backing)
+        child_count[wide_index] = len(kids)
+        for child in kids:
+            if internal[child]:
+                work.append(len(backing))
+            backing.append(child)
+        depth += [depth[wide_index] + 1] * len(kids)
+        first_child += [0] * len(kids)
+        child_count += [0] * len(kids)
+
+    backing_arr = np.array(backing, dtype=np.int64)
+    los = binary.lo[backing_arr]
+    his = binary.hi[backing_arr]
+    wide = WideBVH(scene=binary.scene, width=width)
+    wide.nodes = [
+        WideNode(index=index, bounds=AABB(lo=lo, hi=hi), depth=d,
+                 children=list(range(first, first + count)))
+        for index, (lo, hi, d, first, count)
+        in enumerate(zip(los, his, depth, first_child, child_count))
+    ]
+    prims = list(binary.prim_order)  # np.int64 elements, one list slice per leaf
+    starts = binary.first_prim[backing_arr]
+    ends = (starts + binary.prim_count[backing_arr]).tolist()
+    for node, count, start, end in zip(wide.nodes, child_count, starts.tolist(), ends):
+        if not count:
+            node.prim_ids = prims[start:end]
+    wide.child_los = [los[f : f + c] for f, c in zip(first_child, child_count)]
+    wide.child_his = [his[f : f + c] for f, c in zip(first_child, child_count)]
     return wide
-
-
-def _finalize_child_arrays(wide: WideBVH) -> None:
-    """Precompute per-node child-bounds arrays for the batched slab test."""
-    wide.child_los = []
-    wide.child_his = []
-    for node in wide.nodes:
-        if node.is_leaf:
-            wide.child_los.append(np.zeros((0, 3)))
-            wide.child_his.append(np.zeros((0, 3)))
-        else:
-            wide.child_los.append(
-                np.stack([wide.nodes[c].bounds.lo for c in node.children])
-            )
-            wide.child_his.append(
-                np.stack([wide.nodes[c].bounds.hi for c in node.children])
-            )

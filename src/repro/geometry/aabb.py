@@ -87,3 +87,15 @@ def surface_area(box: AABB) -> float:
         return 0.0
     ext = box.extent()
     return float(2.0 * (ext[0] * ext[1] + ext[1] * ext[2] + ext[2] * ext[0]))
+
+
+def surface_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`surface_area` of every ``(..., 3)`` box, elementwise.
+
+    Same operations in the same order, so each value is bit-identical
+    to the scalar function's.
+    """
+    ext = hi - lo
+    area = 2.0 * (ext[..., 0] * ext[..., 1] + ext[..., 1] * ext[..., 2]
+                  + ext[..., 2] * ext[..., 0])
+    return np.where((lo > hi).any(axis=-1), 0.0, area)

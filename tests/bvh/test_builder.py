@@ -6,6 +6,7 @@ import pytest
 from repro.bvh.builder import build_binary_bvh
 from repro.bvh.validate import validate_binary
 from repro.errors import BVHError
+from repro.geometry.aabb import AABB
 from repro.scene.generators import scatter_mesh
 from repro.scene.scene import Scene
 
@@ -34,7 +35,7 @@ def test_single_triangle_scene():
     scene = Scene("one", scatter_mesh(1, seed=1))
     bvh = build_binary_bvh(scene)
     assert bvh.node_count == 1
-    assert bvh.nodes[0].is_leaf
+    assert bvh.is_leaf(0)
     assert list(bvh.leaf_prims(0)) == [0]
 
 
@@ -47,9 +48,8 @@ def test_valid_tree(cluttered_scene, strategy):
 @pytest.mark.parametrize("max_leaf", [1, 2, 4, 8])
 def test_leaf_size_respected(cluttered_scene, max_leaf):
     bvh = build_binary_bvh(cluttered_scene, max_leaf_size=max_leaf)
-    for i, node in enumerate(bvh.nodes):
-        if node.is_leaf:
-            assert node.prim_count <= max_leaf
+    leaves = bvh.prim_count > 0
+    assert (bvh.prim_count[leaves] <= max_leaf).all()
 
 
 def test_all_primitives_reachable(cluttered_scene):
@@ -60,20 +60,20 @@ def test_all_primitives_reachable(cluttered_scene):
 def test_root_bounds_cover_scene(cluttered_scene):
     bvh = build_binary_bvh(cluttered_scene)
     scene_bounds = cluttered_scene.bounds()
-    root = bvh.nodes[bvh.root]
-    assert root.bounds.contains_box(scene_bounds)
+    root = AABB(lo=bvh.lo[bvh.root], hi=bvh.hi[bvh.root])
+    assert root.contains_box(scene_bounds)
 
 
 def test_internal_nodes_have_two_children(cluttered_scene):
     bvh = build_binary_bvh(cluttered_scene)
-    for node in bvh.nodes:
-        if not node.is_leaf:
-            assert node.left >= 0 and node.right >= 0
+    internal = bvh.prim_count == 0
+    assert (bvh.left[internal] >= 0).all() and (bvh.right[internal] >= 0).all()
 
 
 def test_identical_centroids_terminate():
-    # All triangles at the same position: splits degenerate, the builder
-    # must fall back to half-splits and still terminate.
+    # All triangles at the same position: every centroid ties, so each
+    # median split keeps the input order and halves the node; the build
+    # must still terminate with a valid tree.
     verts = np.tile(
         np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0]]], dtype=float), (20, 1, 1)
     )
@@ -84,7 +84,7 @@ def test_identical_centroids_terminate():
 
 def test_leaf_prims_on_internal_raises(cluttered_scene):
     bvh = build_binary_bvh(cluttered_scene)
-    internal = next(i for i, n in enumerate(bvh.nodes) if not n.is_leaf)
+    internal = int(np.flatnonzero(bvh.prim_count == 0)[0])
     with pytest.raises(BVHError):
         bvh.leaf_prims(internal)
 

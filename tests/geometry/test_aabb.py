@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry.aabb import AABB, surface_area, union
+from repro.geometry.aabb import AABB, surface_area, surface_areas, union
 from repro.geometry.vec import vec3
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -99,6 +99,15 @@ def test_surface_area_unit_cube():
 
 def test_surface_area_empty_zero():
     assert surface_area(AABB.empty()) == 0.0
+
+
+@given(st.lists(boxes, min_size=1, max_size=8))
+def test_surface_areas_is_bitwise_surface_area(box_list):
+    box_list = box_list + [AABB.empty()]
+    lo = np.stack([b.lo for b in box_list])
+    hi = np.stack([b.hi for b in box_list])
+    expected = np.array([surface_area(b) for b in box_list])
+    assert surface_areas(lo, hi).tobytes() == expected.tobytes()
 
 
 @given(boxes, boxes)
