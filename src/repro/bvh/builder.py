@@ -20,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import BVHError
-from repro.bvh.node import NO_NODE
 from repro.geometry.aabb import surface_areas
 from repro.scene.scene import Scene
+
+#: Sentinel index meaning "no node".
+NO_NODE = -1
 
 _SAH_BINS = 16
 _SAH_TRAVERSAL_COST = 1.0

@@ -36,18 +36,18 @@ class BVHStats:
 
 def compute_stats(wide: WideBVH) -> BVHStats:
     """Compute :class:`BVHStats` for a laid-out wide BVH."""
-    leaves = [n for n in wide.nodes if n.is_leaf]
-    internals = [n for n in wide.nodes if not n.is_leaf]
-    leaf_prims = sum(len(n.prim_ids) for n in leaves)
-    child_total = sum(n.child_count for n in internals)
+    counts = wide.child_count
+    internal_count = int((counts > 0).sum())
+    leaf_count = wide.node_count - internal_count
+    child_total = int(counts.sum())
     return BVHStats(
         node_count=wide.node_count,
-        internal_count=len(internals),
-        leaf_count=len(leaves),
+        internal_count=internal_count,
+        leaf_count=leaf_count,
         max_depth=wide.max_depth(),
-        avg_leaf_prims=leaf_prims / len(leaves) if leaves else 0.0,
-        max_children=max((n.child_count for n in internals), default=0),
-        avg_children=child_total / len(internals) if internals else 0.0,
+        avg_leaf_prims=int(wide.prim_count.sum()) / leaf_count if leaf_count else 0.0,
+        max_children=int(counts.max(initial=0)),
+        avg_children=child_total / internal_count if internal_count else 0.0,
         total_bytes=wide.total_bytes,
         triangle_count=wide.scene.triangle_count,
     )

@@ -12,93 +12,100 @@ one level at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import ClassVar, Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import BVHError
-from repro.bvh.builder import BinaryBVH
-from repro.bvh.node import WideNode
-from repro.geometry.aabb import AABB, surface_areas
+from repro.bvh.builder import NO_NODE, BinaryBVH
+from repro.geometry.aabb import surface_areas
+from repro.geometry.triangle import EdgeForm, edge_form
 from repro.scene.scene import Scene
 
 
 @dataclass
 class WideBVH:
-    """The wide BVH consumed by traversal and the timing model.
+    """The wide BVH consumed by layout, traversal and the timing model.
 
-    ``child_los[i]`` / ``child_his[i]`` hold node ``i``'s child bounds as
-    ``(c, 3)`` arrays for the batched ray/AABB kernel.  ``address_to_node``
-    is populated by the layout pass.
+    Flat per-node arrays, root at 0.  Node ``i`` is bounded by ``lo[i]`` /
+    ``hi[i]`` and sits ``depth[i]`` levels below the root.  Siblings are
+    numbered consecutively: an internal node's children are the rows
+    ``first_child[i] : first_child[i] + child_count[i]`` (so their bounds
+    are ``lo[f : f + c]``), and a leaf has ``child_count[i] == 0`` and
+    ``first_child[i] == NO_NODE``.  Leaves own the scene prim ids
+    ``prim_ids[prim_start[i] : prim_start[i] + prim_count[i]]`` — the
+    binary build's primitive order, shared, not copied.  ``address`` /
+    ``size_bytes`` / ``total_bytes`` are filled by the layout pass.
     """
 
     scene: Scene
     width: int
-    nodes: List[WideNode] = field(default_factory=list)
-    root: int = 0
-    child_los: List[np.ndarray] = field(default_factory=list)
-    child_his: List[np.ndarray] = field(default_factory=list)
-    address_to_node: Dict[int, int] = field(default_factory=dict)
+    lo: np.ndarray
+    hi: np.ndarray
+    first_child: np.ndarray
+    child_count: np.ndarray
+    depth: np.ndarray
+    prim_start: np.ndarray
+    prim_count: np.ndarray
+    prim_ids: np.ndarray
+    address: np.ndarray
+    size_bytes: np.ndarray
     total_bytes: int = 0
-    _soa: object = field(default=None, repr=False, compare=False)
-    _escape: object = field(default=None, repr=False, compare=False)
+    _triangles: Optional[EdgeForm] = field(default=None, repr=False, compare=False)
+    _escape: Optional[List[int]] = field(default=None, repr=False, compare=False)
 
-    #: Cache slots of lazily built derived structures; every slot listed
-    #: here is cleared together by :meth:`invalidate_derived`.
-    _DERIVED_SLOTS = ("_soa", "_escape")
+    #: Index of the root node.
+    root: ClassVar[int] = 0
 
     @property
     def node_count(self) -> int:
         """Total number of wide nodes."""
-        return len(self.nodes)
+        return len(self.child_count)
 
-    def _derived(self, slot: str, build):
-        """Shared build-once logic for every derived-structure cache."""
-        value = getattr(self, slot)
-        if value is None:
-            value = build(self)
-            setattr(self, slot, value)
-        return value
+    def leaf_prims(self, node: int) -> np.ndarray:
+        """Scene prim ids owned by ``node`` (empty for internal nodes)."""
+        start = self.prim_start[node]
+        return self.prim_ids[start : start + self.prim_count[node]]
 
-    def invalidate_derived(self) -> None:
-        """Drop every cached derived structure.
+    def triangles(self) -> EdgeForm:
+        """The scene's triangles in Moeller-Trumbore form (built once, cached).
 
-        The layout pass calls this when it reassigns node addresses —
-        addresses are baked into the SoA mirror, and the escape index's
-        DFS link order mirrors the address assignment walk.
+        Every tracer over this BVH shares one copy; building it costs
+        more than the tracers' per-node mirrors on a full-scale scene.
         """
-        for slot in self._DERIVED_SLOTS:
-            setattr(self, slot, None)
+        if self._triangles is None:
+            self._triangles = edge_form(self.scene.vertices)
+        return self._triangles
 
-    def soa(self):
-        """The flat structure-of-arrays mirror (built once, cached).
+    def escape(self) -> List[int]:
+        """Escape links for stackless traversal (built once, cached).
 
-        Must be requested after layout assigns node addresses; the tracer
-        does so via its constructor.
+        Stackless traversal replaces the stack with two links per node
+        (Smits-style ropes; see Prokopenko & Lebrun-Grandie, arXiv
+        2402.00665): on a box hit an internal node is left for
+        ``first_child``, otherwise for ``escape`` — its next sibling, or
+        the parent's link when it is the last child; ``NO_NODE`` ends the
+        walk.  Following them with every box hit enumerates the
+        depth-first, slot-order walk of :func:`~repro.bvh.layout.assign_addresses`.
         """
-        from repro.bvh.soa import BVHSoA
-
-        return self._derived("_soa", BVHSoA)
-
-    def escape(self):
-        """The escape-link index for stackless traversal (built once, cached).
-
-        Same caching and invalidation contract as :meth:`soa`.
-        """
-        from repro.bvh.escape import EscapeIndex
-
-        return self._derived("_escape", EscapeIndex)
-
-    def node_at_address(self, address: int) -> WideNode:
-        """Resolve a global-memory address back to its node."""
-        try:
-            return self.nodes[self.address_to_node[address]]
-        except KeyError:
-            raise BVHError(f"no BVH node at address {address:#x}") from None
+        if self._escape is None:
+            first = self.first_child.tolist()
+            count = self.child_count.tolist()
+            escape = [NO_NODE] * self.node_count
+            # A node's own link is final before its children are visited.
+            stack = [self.root]
+            while stack:
+                index = stack.pop()
+                f, c = first[index], count[index]
+                if c:
+                    escape[f : f + c] = [*range(f + 1, f + c), escape[index]]
+                    stack.extend(range(f, f + c))
+            self._escape = escape
+        return self._escape
 
     def max_depth(self) -> int:
         """Depth of the deepest node (root = 0)."""
-        return max((node.depth for node in self.nodes), default=0)
+        return int(self.depth.max(initial=0))
 
 
 def _gather_wide_children(
@@ -152,7 +159,7 @@ def collapse_to_wide(binary: BinaryBVH, width: int = 6) -> WideBVH:
 
     backing = [binary.root]  # binary node behind each wide index
     depth = [0]
-    first_child = [0]
+    first_child = [NO_NODE]
     child_count = [0]
     work = [0] if internal[binary.root] else []
     while work:
@@ -165,25 +172,18 @@ def collapse_to_wide(binary: BinaryBVH, width: int = 6) -> WideBVH:
                 work.append(len(backing))
             backing.append(child)
         depth += [depth[wide_index] + 1] * len(kids)
-        first_child += [0] * len(kids)
+        first_child += [NO_NODE] * len(kids)
         child_count += [0] * len(kids)
 
     backing_arr = np.array(backing, dtype=np.int64)
-    los = binary.lo[backing_arr]
-    his = binary.hi[backing_arr]
-    wide = WideBVH(scene=binary.scene, width=width)
-    wide.nodes = [
-        WideNode(index=index, bounds=AABB(lo=lo, hi=hi), depth=d,
-                 children=list(range(first, first + count)))
-        for index, (lo, hi, d, first, count)
-        in enumerate(zip(los, his, depth, first_child, child_count))
-    ]
-    prims = list(binary.prim_order)  # np.int64 elements, one list slice per leaf
-    starts = binary.first_prim[backing_arr]
-    ends = (starts + binary.prim_count[backing_arr]).tolist()
-    for node, count, start, end in zip(wide.nodes, child_count, starts.tolist(), ends):
-        if not count:
-            node.prim_ids = prims[start:end]
-    wide.child_los = [los[f : f + c] for f, c in zip(first_child, child_count)]
-    wide.child_his = [his[f : f + c] for f, c in zip(first_child, child_count)]
-    return wide
+    zeros = np.zeros(len(backing), dtype=np.int64)
+    return WideBVH(
+        scene=binary.scene, width=width,
+        lo=binary.lo[backing_arr], hi=binary.hi[backing_arr],
+        first_child=np.array(first_child, dtype=np.int64),
+        child_count=np.array(child_count, dtype=np.int64),
+        depth=np.array(depth, dtype=np.int64),
+        prim_start=binary.first_prim[backing_arr],
+        prim_count=binary.prim_count[backing_arr],
+        prim_ids=binary.prim_order, address=zeros, size_bytes=zeros.copy(),
+    )

@@ -336,6 +336,7 @@ def _trace(args) -> "tuple":
 
 
 def _cmd_simulate(args) -> int:
+    config = named_config(args.config)
     scene, workload = _trace(args)
     guard = None
     if args.guard or args.max_cycles is not None:
@@ -343,7 +344,7 @@ def _cmd_simulate(args) -> int:
 
         guard = GuardConfig(max_cycles=args.max_cycles)
     result = time_traces(
-        workload.all_traces, named_config(args.config), scene_name=scene.name,
+        workload.all_traces, config, scene_name=scene.name,
         guard=guard, backend=args.backend,
     )
     counters = result.counters
@@ -374,12 +375,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     if args.strategies.strip():
         return _cmd_compare_strategies(args)
-    scene, workload = _trace(args)
     labels = [label.strip() for label in args.configs.split(",") if label.strip()]
+    configs = [named_config(label) for label in labels]
+    scene, workload = _trace(args)
     results = [
-        time_traces(workload.all_traces, named_config(label),
+        time_traces(workload.all_traces, config,
                     scene_name=scene.name, backend=args.backend)
-        for label in labels
+        for config in configs
     ]
     base = results[0]
     print(

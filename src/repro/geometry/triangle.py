@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -48,3 +49,31 @@ def triangle_aabb(tri: Triangle) -> AABB:
 def triangle_centroid(tri: Triangle) -> Vec3:
     """Barycenter of a triangle, used as the BVH split key."""
     return (tri.a + tri.b + tri.c) / 3.0
+
+
+class EdgeForm(NamedTuple):
+    """Every triangle of a scene in Moeller-Trumbore form.
+
+    Vertex ``a`` and the edges ``e1 = b - a``, ``e2 = c - a`` as
+    ``(n, 3)`` float64 arrays (rows feed ``np.dot``), plus the edges as
+    python-float triples (components feed the manual cross products).
+    The subtractions are the ones :func:`~repro.geometry.intersect.ray_triangle_intersect`
+    performs per call, so both paths see the same bits.
+    """
+
+    a: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    e1_f: List[Tuple[float, float, float]]
+    e2_f: List[Tuple[float, float, float]]
+
+
+def edge_form(vertices: np.ndarray) -> EdgeForm:
+    """:class:`EdgeForm` of an ``(n, 3, 3)`` vertex array."""
+    e1 = np.ascontiguousarray(vertices[:, 1, :] - vertices[:, 0, :])
+    e2 = np.ascontiguousarray(vertices[:, 2, :] - vertices[:, 0, :])
+    return EdgeForm(
+        a=np.ascontiguousarray(vertices[:, 0, :]), e1=e1, e2=e2,
+        e1_f=[tuple(row) for row in e1.tolist()],
+        e2_f=[tuple(row) for row in e2.tolist()],
+    )

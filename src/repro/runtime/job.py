@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.gpu.config import GPUConfig
-from repro.workloads.params import DEFAULT_PARAMS, WorkloadParams
+from repro.workloads.params import DEFAULT_PARAMS, WorkloadParams, validate_run_shape
 
 #: Bump when the stored-result layout changes incompatibly.
 #: 2: job specs gained the traversal-strategy field.
@@ -117,6 +117,9 @@ class SimulationJob:
     #: and keeping the addresses distinct means a backend-parity bug can
     #: never silently satisfy a stepped request from a vector result.
     backend: str = "stepped"
+
+    def __post_init__(self) -> None:
+        validate_run_shape(self.width, self.height, self.spp, self.max_bounces, self.seed)
 
     @classmethod
     def from_params(

@@ -64,8 +64,8 @@ def job_from_wire(wire: Dict) -> SimulationJob:
     scene = fields.pop("scene")
     try:
         return SimulationJob(scene=str(scene).upper(), config=config,
-                             width=int(fields.pop("width", 24)),
-                             height=int(fields.pop("height", 24)),
+                             width=fields.pop("width", 24),
+                             height=fields.pop("height", 24),
                              **fields)
     except (TypeError, ValueError) as error:
         raise ConfigError(f"bad job fields: {error}") from error

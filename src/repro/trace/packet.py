@@ -65,11 +65,11 @@ def packet_trace(bvh: WideBVH, rays: Sequence[Ray]) -> PacketTraceResult:
 
     current = bvh.root
     while True:
-        node = bvh.nodes[current]
         node_visits += 1
         next_node = None
-        if node.is_leaf:
-            for prim_id in node.prim_ids:
+        count = int(bvh.child_count[current])
+        if not count:
+            for prim_id in bvh.leaf_prims(current):
                 triangle = scene.triangle(prim_id)
                 for i, ray in enumerate(rays):
                     tri_tests += 1
@@ -80,13 +80,14 @@ def packet_trace(bvh: WideBVH, rays: Sequence[Ray]) -> PacketTraceResult:
                         best_t[i] = t
                         best_prim[i] = prim_id
         else:
-            los = bvh.child_los[node.index]
-            his = bvh.child_his[node.index]
+            first = int(bvh.first_child[current])
+            los = bvh.lo[first : first + count]
+            his = bvh.hi[first : first + count]
             # Earliest entry over the group decides the visit order.
-            group_enter = np.full(node.child_count, np.inf)
-            group_hit = np.zeros(node.child_count, dtype=bool)
+            group_enter = np.full(count, np.inf)
+            group_hit = np.zeros(count, dtype=bool)
             for i, ray in enumerate(rays):
-                box_tests += node.child_count
+                box_tests += count
                 clipped = Ray(ray.origin, ray.direction, ray.t_min,
                               float(best_t[i]))
                 hit, t_enter = ray_aabb_intersect_batch(clipped, los, his)
@@ -95,8 +96,8 @@ def packet_trace(bvh: WideBVH, rays: Sequence[Ray]) -> PacketTraceResult:
                     hit, np.minimum(group_enter, t_enter), group_enter
                 )
             order = [
-                (float(group_enter[slot]), node.children[slot])
-                for slot in range(node.child_count)
+                (float(group_enter[slot]), first + slot)
+                for slot in range(count)
                 if group_hit[slot]
             ]
             if order:

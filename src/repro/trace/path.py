@@ -22,6 +22,7 @@ from repro.scene.camera import PinholeCamera
 from repro.trace.events import RayKind, RayTrace
 from repro.trace.rng import DeterministicRng
 from repro.trace.tracer import Tracer
+from repro.workloads.params import validate_run_shape
 
 
 @dataclass
@@ -98,7 +99,12 @@ def generate_workload(
 
     Returns:
         A :class:`PathTracerWorkload` with per-wave traces.
+
+    Raises:
+        ConfigError: the run shape is invalid (see
+            :func:`~repro.workloads.params.validate_run_shape`).
     """
+    validate_run_shape(width, height, spp, max_bounces, seed)
     tracer = (tracer_factory or Tracer)(bvh)
     rng = DeterministicRng(seed)
     scene = bvh.scene

@@ -10,8 +10,8 @@ first triangle hit.
 Two tracing entry points share one set of kernels:
 
 * :meth:`Tracer.trace` — the scalar reference: one ray, one DFS, all data
-  read from the BVH's structure-of-arrays mirror (no per-visit slicing or
-  ``Ray`` boxing).
+  read from the BVH's flat node arrays and its cached triangle edge form
+  (no per-visit ``Ray`` or ``Triangle`` boxing).
 * :meth:`Tracer.trace_wave` — the batched path: a whole wavefront of rays
   streamed through the DFS node-major.  Each round groups active rays by
   the node they currently occupy and intersects the group against that
@@ -61,7 +61,16 @@ class Tracer:
     def __init__(self, bvh: WideBVH) -> None:
         self.bvh = bvh
         self.scene = bvh.scene
-        self.soa = bvh.soa()
+        self.tris = bvh.triangles()
+        # Plain-list mirrors of the BVH arrays: the scalar inner loop
+        # indexes lists faster than ndarray scalars.
+        self.address = bvh.address.tolist()
+        self.size_bytes = bvh.size_bytes.tolist()
+        self.first_child = bvh.first_child.tolist()
+        self.child_count = bvh.child_count.tolist()
+        self.prim_start = bvh.prim_start.tolist()
+        self.prim_count = bvh.prim_count.tolist()
+        self.prim_ids = bvh.prim_ids.tolist()
 
     def trace(
         self,
@@ -76,24 +85,16 @@ class Tracer:
         Returns a :class:`TraceResult` whose trace carries the full stack
         event stream.
         """
-        soa = self.soa
-        node_address = soa.node_address
-        node_size = soa.node_size_bytes
-        node_is_leaf = soa.node_is_leaf
-        child_offset = soa.child_offset
-        child_count = soa.child_count
-        child_index = soa.child_index
-        child_address = soa.child_address
-        child_lo = soa.child_lo
-        child_hi = soa.child_hi
-        prim_offset = soa.prim_offset
-        prim_count = soa.prim_count
-        prim_ids = soa.prim_ids
-        tri_a = soa.tri_a
-        tri_e1 = soa.tri_e1
-        tri_e2 = soa.tri_e2
-        tri_e1_f = soa.tri_e1_f
-        tri_e2_f = soa.tri_e2_f
+        node_address = self.address
+        node_size = self.size_bytes
+        first_child = self.first_child
+        child_count = self.child_count
+        node_lo = self.bvh.lo
+        node_hi = self.bvh.hi
+        prim_start = self.prim_start
+        prim_count = self.prim_count
+        prim_ids = self.prim_ids
+        tri_a, tri_e1, tri_e2, tri_e1_f, tri_e2_f = self.tris
 
         origin = ray.origin
         direction = ray.direction
@@ -115,9 +116,10 @@ class Tracer:
         with np.errstate(invalid="ignore"):
             while not done:
                 pushes: List[int] = []
-                if node_is_leaf[current]:
+                tests = child_count[current]
+                if not tests:
                     node_kind = NodeKind.LEAF
-                    p0 = prim_offset[current]
+                    p0 = prim_start[current]
                     tests = prim_count[current]
                     for prim_id in prim_ids[p0 : p0 + tests]:
                         t = moeller_trumbore(
@@ -133,18 +135,15 @@ class Tracer:
                     next_node: Optional[int] = None
                 else:
                     node_kind = NodeKind.INTERNAL
-                    c0 = child_offset[current]
-                    tests = child_count[current]
+                    c0 = first_child[current]
                     hit_mask, t_enter = slab_test(
                         origin, inv, t_min, best_t,
-                        child_lo[c0 : c0 + tests], child_hi[c0 : c0 + tests],
+                        node_lo[c0 : c0 + tests], node_hi[c0 : c0 + tests],
                     )
                     hits = hit_mask.tolist()
                     enters = t_enter.tolist()
                     hit_children = [
-                        (enters[i], child_index[c0 + i], child_address[c0 + i])
-                        for i in range(tests)
-                        if hits[i]
+                        (enters[i], c0 + i) for i in range(tests) if hits[i]
                     ]
                     if hit_children:
                         # Nearest child visited next; others pushed far-to-near
@@ -152,8 +151,9 @@ class Tracer:
                         hit_children.sort(key=itemgetter(0))
                         next_node = hit_children[0][1]
                         for pos in range(len(hit_children) - 1, 0, -1):
-                            pushes.append(hit_children[pos][2])
-                            stack.append(hit_children[pos][1])
+                            child = hit_children[pos][1]
+                            pushes.append(node_address[child])
+                            stack.append(child)
                     else:
                         next_node = None
 
@@ -198,24 +198,16 @@ class Tracer:
         count = len(rays)
         if count == 0:
             return []
-        soa = self.soa
-        node_address = soa.node_address
-        node_size = soa.node_size_bytes
-        node_is_leaf = soa.node_is_leaf
-        child_offset = soa.child_offset
-        child_count = soa.child_count
-        child_index = soa.child_index
-        child_address = soa.child_address
-        child_lo = soa.child_lo
-        child_hi = soa.child_hi
-        prim_offset = soa.prim_offset
-        prim_count = soa.prim_count
-        prim_ids = soa.prim_ids
-        tri_a = soa.tri_a
-        tri_e1 = soa.tri_e1
-        tri_e2 = soa.tri_e2
-        tri_e1_f = soa.tri_e1_f
-        tri_e2_f = soa.tri_e2_f
+        node_address = self.address
+        node_size = self.size_bytes
+        first_child = self.first_child
+        child_count = self.child_count
+        node_lo = self.bvh.lo
+        node_hi = self.bvh.hi
+        prim_start = self.prim_start
+        prim_count = self.prim_count
+        prim_ids = self.prim_ids
+        tri_a, tri_e1, tri_e2, tri_e1_f, tri_e2_f = self.tris
 
         origins = np.stack([ray.origin for ray in rays])
         invs = np.stack([ray.inv_direction for ray in rays])
@@ -253,16 +245,16 @@ class Tracer:
                 # that order is part of the wave≡scalar byte-identity
                 # contract.  # simlint: disable=SL103
                 for node, members in groups.items():
-                    leaf = node_is_leaf[node]
+                    tests = child_count[node]
+                    leaf = not tests
                     if leaf:
-                        p0 = prim_offset[node]
+                        p0 = prim_start[node]
                         tests = prim_count[node]
                         leaf_prims = prim_ids[p0 : p0 + tests]
                     else:
-                        c0 = child_offset[node]
-                        tests = child_count[node]
-                        los = child_lo[c0 : c0 + tests]
-                        his = child_hi[c0 : c0 + tests]
+                        c0 = first_child[node]
+                        los = node_lo[c0 : c0 + tests]
+                        his = node_hi[c0 : c0 + tests]
                         if len(members) >= _BATCH_THRESHOLD:
                             sel = np.array(members)
                             hit_mask, t_enter = slab_test(
@@ -314,11 +306,7 @@ class Tracer:
                             hits = hit_rows[row]
                             enters = enter_rows[row]
                             hit_children = [
-                                (
-                                    enters[q],
-                                    child_index[c0 + q],
-                                    child_address[c0 + q],
-                                )
+                                (enters[q], c0 + q)
                                 for q in range(tests)
                                 if hits[q]
                             ]
@@ -327,8 +315,9 @@ class Tracer:
                                 next_node = hit_children[0][1]
                                 stack = stacks[i]
                                 for pos in range(len(hit_children) - 1, 0, -1):
-                                    pushes.append(hit_children[pos][2])
-                                    stack.append(hit_children[pos][1])
+                                    child = hit_children[pos][1]
+                                    pushes.append(node_address[child])
+                                    stack.append(child)
                             else:
                                 next_node = None
 

@@ -3,8 +3,8 @@
 The backend has two halves matching the two simulator phases:
 
 * :class:`EscapeTracer` — phase one: traces rays by following the
-  precomputed skip pointers of :class:`~repro.bvh.escape.EscapeIndex`.
-  One box test per visit (the node's own bounds); hit + internal enters
+  BVH's ``first_child`` array and its precomputed escape links
+  (:meth:`~repro.bvh.wide.WideBVH.escape`).  One box test per visit (the node's own bounds); hit + internal enters
   ``first_child``, hit + leaf runs the primitive tests, miss (or a
   finished leaf) takes ``escape``.  The walk is the exhaustive
   depth-first order in static slot order, so closest hits match the
@@ -36,7 +36,7 @@ from repro.geometry.intersect import moeller_trumbore, slab_test
 from repro.stack.base import StackModel
 from repro.stack.ops import StackActivity
 from repro.trace.events import NodeKind, RayKind, RayTrace, Step
-from repro.trace.tracer import TraceResult
+from repro.trace.tracer import TraceResult, Tracer
 from repro.traversal.base import TraversalStrategy
 
 if TYPE_CHECKING:
@@ -44,7 +44,7 @@ if TYPE_CHECKING:
     from repro.geometry.ray import Ray
     from repro.gpu.config import GPUConfig
 
-from repro.bvh.escape import NO_NODE
+from repro.bvh.builder import NO_NODE
 
 
 class StacklessState(StackModel):
@@ -85,20 +85,18 @@ class StacklessState(StackModel):
         return []
 
 
-class EscapeTracer:
-    """Traces rays through one wide BVH via its escape-link index.
+class EscapeTracer(Tracer):
+    """Traces rays through one wide BVH via its escape links.
 
-    Same construction and tracing surface as
-    :class:`~repro.trace.tracer.Tracer`, so
+    Shares the reference :class:`~repro.trace.tracer.Tracer`'s
+    construction (array mirrors, cached triangles) and tracing surface, so
     :func:`~repro.trace.path.generate_workload` swaps it in through its
     ``tracer_factory`` hook.
     """
 
     def __init__(self, bvh: "WideBVH") -> None:
-        self.bvh = bvh
-        self.scene = bvh.scene
-        self.soa = bvh.soa()
-        self.links = bvh.escape()
+        super().__init__(bvh)
+        self.escape = bvh.escape()
 
     def trace(
         self,
@@ -109,23 +107,17 @@ class EscapeTracer:
         any_hit: bool = False,
     ) -> TraceResult:
         """Trace one ray to its closest hit (or first hit when ``any_hit``)."""
-        soa = self.soa
-        node_address = soa.node_address
-        node_size = soa.node_size_bytes
-        node_is_leaf = soa.node_is_leaf
-        prim_offset = soa.prim_offset
-        prim_count = soa.prim_count
-        prim_ids = soa.prim_ids
-        tri_a = soa.tri_a
-        tri_e1 = soa.tri_e1
-        tri_e2 = soa.tri_e2
-        tri_e1_f = soa.tri_e1_f
-        tri_e2_f = soa.tri_e2_f
-        links = self.links
-        first_child = links.first_child
-        escape = links.escape
-        node_lo = links.node_lo
-        node_hi = links.node_hi
+        node_address = self.address
+        node_size = self.size_bytes
+        child_count = self.child_count
+        prim_start = self.prim_start
+        prim_count = self.prim_count
+        prim_ids = self.prim_ids
+        tri_a, tri_e1, tri_e2, tri_e1_f, tri_e2_f = self.tris
+        first_child = self.first_child
+        escape = self.escape
+        node_lo = self.bvh.lo
+        node_hi = self.bvh.hi
 
         origin = ray.origin
         direction = ray.direction
@@ -148,10 +140,10 @@ class EscapeTracer:
                     node_hi[current : current + 1],
                 )
                 box_hit = bool(hit_mask[0])
-                leaf = node_is_leaf[current]
+                leaf = not child_count[current]
                 if box_hit and leaf:
                     node_kind = NodeKind.LEAF
-                    p0 = prim_offset[current]
+                    p0 = prim_start[current]
                     tests = prim_count[current]
                     for prim_id in prim_ids[p0 : p0 + tests]:
                         t = moeller_trumbore(

@@ -9,6 +9,9 @@ our scaled-down default resolution; both tiers are configurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
+
+from repro.errors import ConfigError
 
 #: Scenes the paper runs at reduced scale due to simulation cost.
 COMPLEX_SCENES = ("CHSNT", "ROBOT", "PARK")
@@ -45,6 +48,24 @@ class WorkloadParams:
             complex_spp=self.complex_spp,
             seed=self.seed,
         )
+
+
+def validate_run_shape(width, height, spp, max_bounces, seed=0) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless the run shape is sane.
+
+    ``width``, ``height`` and ``spp`` must be integers >= 1,
+    ``max_bounces`` an integer >= 0 and ``seed`` an integer (``bool`` is
+    not an integer here).  Anything else would trace a different
+    experiment than the one asked for (``spp=0`` traces no rays; a
+    negative bounce budget runs as 0), or fail deep in a worker.
+    """
+    for name, value, least in (("width", width, 1), ("height", height, 1),
+                               ("spp", spp, 1), ("max_bounces", max_bounces, 0),
+                               ("seed", seed, None)):
+        if not isinstance(value, Integral) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if least is not None and value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 #: Defaults used by the experiment drivers and benchmarks.

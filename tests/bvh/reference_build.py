@@ -12,13 +12,12 @@ the stepped timing backend is the oracle for the vector one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import BVHError
-from repro.bvh.node import WideNode
-from repro.bvh.wide import WideBVH
+from repro.bvh.layout import BVH_BASE_ADDRESS, node_size_bytes
 from repro.geometry.aabb import AABB, surface_area
 from repro.scene.scene import Scene
 
@@ -28,6 +27,59 @@ NO_NODE = -1
 _SAH_BINS = 16
 _SAH_TRAVERSAL_COST = 1.0
 _SAH_INTERSECT_COST = 2.0
+
+
+@dataclass
+class WideNode:
+    """A node of the wide BVH (up to ``k`` children per internal node).
+
+    ``address`` and ``size_bytes`` are filled in by the layout pass and
+    give the node's location in the simulated global-memory space; the
+    traversal stack stores these addresses (one 8-byte entry each, as in
+    the paper).
+    """
+
+    index: int
+    bounds: AABB
+    children: List[int] = field(default_factory=list)
+    prim_ids: List[int] = field(default_factory=list)
+    address: int = 0
+    size_bytes: int = 0
+    depth: int = 0
+
+    @property
+    def is_leaf(self) -> bool:
+        """True when the node holds primitives instead of children."""
+        return not self.children
+
+    @property
+    def child_count(self) -> int:
+        """Number of children (0 for leaves)."""
+        return len(self.children)
+
+
+@dataclass
+class WideBVH:
+    """The wide BVH as an object graph of :class:`WideNode` records.
+
+    ``child_los[i]`` / ``child_his[i]`` hold node ``i``'s child bounds as
+    ``(c, 3)`` arrays; ``address_to_node`` is populated by
+    :func:`assign_addresses`.
+    """
+
+    scene: Scene
+    width: int
+    nodes: List[WideNode] = field(default_factory=list)
+    root: int = 0
+    child_los: List[np.ndarray] = field(default_factory=list)
+    child_his: List[np.ndarray] = field(default_factory=list)
+    address_to_node: Dict[int, int] = field(default_factory=dict)
+    total_bytes: int = 0
+
+    @property
+    def node_count(self) -> int:
+        """Total number of wide nodes."""
+        return len(self.nodes)
 
 
 @dataclass
@@ -302,3 +354,21 @@ def _finalize_child_arrays(wide: WideBVH) -> None:
             wide.child_his.append(
                 np.stack([wide.nodes[c].bounds.hi for c in node.children])
             )
+
+
+def assign_addresses(wide: WideBVH, base_address: int = BVH_BASE_ADDRESS) -> None:
+    """Assign byte addresses to every node in depth-first order."""
+    cursor = base_address
+    wide.address_to_node.clear()
+    stack = [wide.root]
+    while stack:
+        index = stack.pop()
+        node = wide.nodes[index]
+        node.address = cursor
+        node.size_bytes = node_size_bytes(node.child_count, len(node.prim_ids))
+        wide.address_to_node[cursor] = index
+        cursor += node.size_bytes
+        # Reversed push so children come out in left-to-right order.
+        for child in reversed(node.children):
+            stack.append(child)
+    wide.total_bytes = cursor - base_address

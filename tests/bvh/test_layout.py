@@ -9,7 +9,6 @@ from repro.bvh.layout import (
     assign_addresses,
     node_size_bytes,
 )
-from repro.errors import BVHError
 from repro.scene.generators import scatter_mesh
 from repro.scene.scene import Scene
 
@@ -32,37 +31,45 @@ def test_node_size_monotone_in_children():
 
 
 def test_all_nodes_addressed(bvh):
-    assert len(bvh.address_to_node) == bvh.node_count
+    assert bvh.address.shape == bvh.size_bytes.shape == (bvh.node_count,)
+    assert (bvh.address >= BVH_BASE_ADDRESS).all()
+    assert (bvh.size_bytes > 0).all()
 
 
 def test_addresses_unique(bvh):
-    addresses = [n.address for n in bvh.nodes]
+    addresses = bvh.address.tolist()
     assert len(set(addresses)) == len(addresses)
 
 
 def test_addresses_non_overlapping(bvh):
-    spans = sorted((n.address, n.address + n.size_bytes) for n in bvh.nodes)
+    spans = sorted(zip(bvh.address.tolist(), (bvh.address + bvh.size_bytes).tolist()))
     for (start_a, end_a), (start_b, _) in zip(spans, spans[1:]):
         assert end_a <= start_b
 
 
 def test_root_at_base(bvh):
-    assert bvh.nodes[bvh.root].address == BVH_BASE_ADDRESS
+    assert bvh.address[bvh.root] == BVH_BASE_ADDRESS
 
 
 def test_total_bytes_equals_span(bvh):
-    end = max(n.address + n.size_bytes for n in bvh.nodes)
+    end = int((bvh.address + bvh.size_bytes).max())
     assert bvh.total_bytes == end - BVH_BASE_ADDRESS
 
 
-def test_lookup_roundtrip(bvh):
-    for node in bvh.nodes:
-        assert bvh.node_at_address(node.address) is node
+def test_sizes_match_node_records(bvh):
+    for index in range(bvh.node_count):
+        assert bvh.size_bytes[index] == node_size_bytes(
+            int(bvh.child_count[index]), int(bvh.prim_count[index])
+        )
 
 
-def test_lookup_unknown_raises(bvh):
-    with pytest.raises(BVHError):
-        bvh.node_at_address(BVH_BASE_ADDRESS - 64)
+def test_relayout_moves_every_node_by_the_base(bvh):
+    before = bvh.address.copy()
+    assign_addresses(bvh, base_address=BVH_BASE_ADDRESS + 4096)
+    try:
+        assert (bvh.address == before + 4096).all()
+    finally:
+        assign_addresses(bvh)
 
 
 def test_layout_summary(bvh):
@@ -74,7 +81,7 @@ def test_layout_summary(bvh):
 
 def test_children_contiguous_after_parent(bvh):
     # Depth-first layout: the first child immediately follows its parent.
-    for node in bvh.nodes:
-        if node.children:
-            first_child = bvh.nodes[node.children[0]]
-            assert first_child.address == node.address + node.size_bytes
+    for index in range(bvh.node_count):
+        if bvh.child_count[index]:
+            first_child = bvh.first_child[index]
+            assert bvh.address[first_child] == bvh.address[index] + bvh.size_bytes[index]

@@ -5,7 +5,9 @@ oracle.  The array build must reproduce its trees exactly: the same
 binary shape, bound bits and leaf ranges (node numbering may differ),
 the same primitive order, and the same wide nodes — indices, children,
 primitive ids and their element type, bound bits, depths, addresses,
-sizes and child-bound arrays.  The edge draws put ties where the tie
+sizes and child-bound arrays, read off the flat arrays and compared with
+the reference ``WideNode`` graph laid out by its own per-node walk.  The
+edge draws put ties where the tie
 rules decide the tree: coincident centroids, duplicated triangles, a
 flat axis holding both signed zeros, and fully identical triangles.
 """
@@ -64,19 +66,23 @@ def _assert_same_binary(expected, actual):
 def _assert_same_wide(expected, actual):
     assert actual.node_count == expected.node_count
     assert actual.total_bytes == expected.total_bytes
-    assert actual.address_to_node == expected.address_to_node
-    for e, a in zip(expected.nodes, actual.nodes):
-        assert (a.index, a.children, a.depth, a.address, a.size_bytes) == (
+    assert {a: i for i, a in enumerate(actual.address.tolist())} == expected.address_to_node
+    for e in expected.nodes:
+        i = e.index
+        first, count = int(actual.first_child[i]), int(actual.child_count[i])
+        assert (i, list(range(first, first + count)), actual.depth[i],
+                actual.address[i], actual.size_bytes[i]) == (
             e.index, e.children, e.depth, e.address, e.size_bytes
         )
-        assert a.prim_ids == e.prim_ids
-        assert [type(p) for p in a.prim_ids] == [type(p) for p in e.prim_ids]
-        assert a.bounds.lo.tobytes() == e.bounds.lo.tobytes()
-        assert a.bounds.hi.tobytes() == e.bounds.hi.tobytes()
-    for name in ("child_los", "child_his"):
-        for e, a in zip(getattr(expected, name), getattr(actual, name)):
-            assert (a.shape, a.dtype) == (e.shape, e.dtype)
-            assert a.tobytes() == e.tobytes()
+        prim_ids = list(actual.leaf_prims(i))
+        assert prim_ids == e.prim_ids
+        assert [type(p) for p in prim_ids] == [type(p) for p in e.prim_ids]
+        assert actual.lo[i].tobytes() == e.bounds.lo.tobytes()
+        assert actual.hi[i].tobytes() == e.bounds.hi.tobytes()
+        for bounds, blocks in ((actual.lo, expected.child_los), (actual.hi, expected.child_his)):
+            a, b = bounds[first : first + count], blocks[i]
+            assert (a.shape, a.dtype) == (b.shape, b.dtype)
+            assert a.tobytes() == b.tobytes()
 
 
 def _check(verts, max_leaf_size, width, strategy):
@@ -86,7 +92,7 @@ def _check(verts, max_leaf_size, width, strategy):
     _assert_same_binary(expected, actual)
     expected_wide = ref.collapse_to_wide(expected, width=width)
     actual_wide = collapse_to_wide(actual, width=width)
-    assign_addresses(expected_wide)
+    ref.assign_addresses(expected_wide)
     assign_addresses(actual_wide)
     _assert_same_wide(expected_wide, actual_wide)
 

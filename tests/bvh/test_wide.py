@@ -32,8 +32,7 @@ def test_invalid_width_raises(binary):
 @pytest.mark.parametrize("width", [2, 4, 6, 8])
 def test_width_respected(binary, width):
     wide = collapse_to_wide(binary, width=width)
-    for node in wide.nodes:
-        assert node.child_count <= width
+    assert (wide.child_count <= width).all()
     validate_wide_no_addresses(wide)
 
 
@@ -42,11 +41,12 @@ def validate_wide_no_addresses(wide):
     seen = set()
     stack = [wide.root]
     while stack:
-        node = wide.nodes[stack.pop()]
-        for prim in node.prim_ids:
+        index = stack.pop()
+        for prim in wide.leaf_prims(index).tolist():
             assert prim not in seen
             seen.add(prim)
-        stack.extend(node.children)
+        first = int(wide.first_child[index])
+        stack.extend(range(first, first + int(wide.child_count[index])))
     assert seen == set(range(wide.scene.triangle_count))
 
 
@@ -64,40 +64,54 @@ def test_wider_bvh_is_shallower(binary):
 
 def test_depth_annotations_consistent(binary):
     wide = collapse_to_wide(binary)
-    for node in wide.nodes:
-        for child in node.children:
-            assert wide.nodes[child].depth == node.depth + 1
+    for index in range(wide.node_count):
+        first, count = wide.first_child[index], wide.child_count[index]
+        assert (wide.depth[first : first + count] == wide.depth[index] + 1).all()
 
 
 def test_child_arrays_match_children(binary):
+    """Children are consecutive rows; their bounds are their binary nodes'."""
     wide = collapse_to_wide(binary)
-    for node in wide.nodes:
-        assert wide.child_los[node.index].shape == (node.child_count, 3)
-        assert wide.child_his[node.index].shape == (node.child_count, 3)
-        for slot, child in enumerate(node.children):
-            bounds = wide.nodes[child].bounds
-            assert wide.child_los[node.index][slot].tobytes() == bounds.lo.tobytes()
-            assert wide.child_his[node.index][slot].tobytes() == bounds.hi.tobytes()
+    n = wide.node_count
+    for name in ("lo", "hi", "first_child", "child_count", "depth",
+                 "prim_start", "prim_count", "address", "size_bytes"):
+        assert len(getattr(wide, name)) == n, name
+    assert wide.lo.shape == wide.hi.shape == (n, 3)
+    assert wide.prim_ids is binary.prim_order
+    leaf = wide.child_count == 0
+    assert (wide.first_child[leaf] == -1).all()
+    children = sorted(
+        child
+        for index in np.flatnonzero(~leaf)
+        for child in range(wide.first_child[index],
+                           wide.first_child[index] + wide.child_count[index])
+    )
+    assert children == list(range(1, n))
+    binary_leaf_bounds = {
+        binary.lo[b].tobytes() + binary.hi[b].tobytes()
+        for b in np.flatnonzero(binary.prim_count)
+    }
+    for index in np.flatnonzero(leaf):
+        assert wide.lo[index].tobytes() + wide.hi[index].tobytes() in binary_leaf_bounds
 
 
 def test_single_triangle_collapse():
     scene = Scene("one", scatter_mesh(1, seed=1))
     wide = build_bvh(scene)
     assert wide.node_count == 1
-    assert wide.nodes[0].is_leaf
+    assert wide.child_count[0] == 0
+    assert wide.leaf_prims(0).tolist() == [0]
 
 
 def test_leaf_prims_preserved(binary, scene):
     wide = collapse_to_wide(binary)
-    total = sum(len(n.prim_ids) for n in wide.nodes)
-    assert total == scene.triangle_count
+    assert int(wide.prim_count.sum()) == scene.triangle_count
 
 
 def test_internal_nodes_have_multiple_children(binary):
     wide = collapse_to_wide(binary, width=6)
-    for node in wide.nodes:
-        if not node.is_leaf:
-            assert node.child_count >= 2
+    counts = wide.child_count
+    assert (counts[counts > 0] >= 2).all()
 
 
 @settings(max_examples=20, deadline=None)

@@ -43,6 +43,22 @@ def test_compare_runs(capsys):
     assert "vs RB_8" in out
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--spp", "0"]),
+    ("simulate", ["--bounces", "-1"]),
+    ("simulate", ["--width", "0"]),
+    ("simulate", ["--config", "RB_0"]),
+    ("compare", ["--spp", "0"]),
+    ("compare", ["--configs", "RB_8,RB_0"]),
+])
+def test_bad_run_is_rejected_before_tracing(capsys, command, flags):
+    code = main([command, "--scene", "SHIP", "--width", "8", "--height", "8", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "scene SHIP" not in captured.out
+    assert captured.err.startswith("error:")
+
+
 def test_experiment_table1(capsys):
     assert main(["experiment", "table1"]) == 0
     assert "Table I" in capsys.readouterr().out

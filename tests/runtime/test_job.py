@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.presets import named_config
+from repro.errors import ConfigError
 from repro.runtime.job import SimulationJob, cache_salt
 from repro.workloads.params import WorkloadParams
 
@@ -84,3 +85,38 @@ def test_job_is_hashable_and_spec_is_json_canonical():
     assert hash(job) == hash(job_for())
     blob = json.dumps(job.spec(), sort_keys=True)
     assert json.loads(blob)["scene"] == "SHIP"
+
+
+BAD_RUN_SHAPES = [
+    {"spp": 0},
+    {"max_bounces": -3},
+    {"spp": "2"},
+    {"width": 0},
+    {"height": -1},
+    {"width": True},
+    {"spp": 1.0},
+    {"seed": "7"},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_RUN_SHAPES, ids=repr)
+def test_bad_run_shape_is_rejected_at_construction(bad):
+    fields = dict(scene="SHIP", config=named_config("RB_8"), width=8, height=8,
+                  spp=1, max_bounces=2)
+    fields.update(bad)
+    with pytest.raises(ConfigError):
+        SimulationJob(**fields)
+
+
+@pytest.mark.parametrize("bad", [{"spp": 0}, {"max_bounces": -1}, {"width": 0}], ids=repr)
+def test_generate_workload_rejects_bad_run_shape(small_bvh, bad):
+    from repro.trace.path import generate_workload
+
+    with pytest.raises(ConfigError):
+        generate_workload(small_bvh, **{"width": 4, "height": 4, **bad})
+
+
+def test_zero_bounces_is_a_valid_run_shape():
+    job = SimulationJob(scene="SHIP", config=named_config("RB_8"), width=1,
+                        height=1, spp=1, max_bounces=0)
+    assert job.max_bounces == 0

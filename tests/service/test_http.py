@@ -51,6 +51,16 @@ def test_wire_rejects_unknown_fields():
         job_from_wire({"scene": "FOX", "config": 42})
 
 
+BAD_RUN_SHAPES = [{"spp": 0}, {"max_bounces": -3}, {"spp": "2"}, {"width": 0},
+                  {"height": True}, {"width": "24"}, {"seed": "7"}]
+
+
+@pytest.mark.parametrize("bad", BAD_RUN_SHAPES, ids=repr)
+def test_wire_rejects_bad_run_shapes(bad):
+    with pytest.raises(ConfigError):
+        job_from_wire({"scene": "FOX", "config": "RB_8", **bad})
+
+
 # ------------------------------------------------------------- server
 
 
@@ -121,6 +131,12 @@ def test_healthz_and_metrics(client):
 def test_bad_submission_is_a_400(client):
     with pytest.raises(ConfigError):
         client._request("POST", "/submit", {"scene": "FOX", "evil": 1})
+
+
+@pytest.mark.parametrize("bad", BAD_RUN_SHAPES, ids=repr)
+def test_bad_run_shape_is_a_400(client, bad):
+    with pytest.raises(ConfigError):
+        client._request("POST", "/submit", {"scene": "FOX", "config": "RB_8", **bad})
 
 
 def test_unknown_ticket_is_a_404(client):

@@ -69,15 +69,20 @@ def test_trace_events_balanced(scene, tracer):
 def test_first_step_is_root(tracer):
     ray = Ray(origin=vec3(0, 0, 20), direction=vec3(0, 0, -1))
     result = tracer.trace(ray)
-    assert result.trace.steps[0].address == tracer.bvh.nodes[tracer.bvh.root].address
+    assert result.trace.steps[0].address == tracer.bvh.address[tracer.bvh.root]
+
+
+def _node_by_address(bvh):
+    return {address: index for index, address in enumerate(bvh.address.tolist())}
 
 
 def test_pushes_reference_real_nodes(tracer):
+    node_at = _node_by_address(tracer.bvh)
     for ray in random_rays(10, seed=64):
         trace = tracer.trace(ray).trace
         for step in trace.steps:
             for address in step.pushes:
-                tracer.bvh.node_at_address(address)
+                assert address in node_at
 
 
 def test_popped_address_is_next_visit(tracer):
@@ -109,12 +114,13 @@ def test_any_hit_stops_early(scene, tracer):
 def test_leaf_steps_count_triangle_tests(tracer):
     ray = Ray(origin=vec3(0, 0, 20), direction=vec3(0, 0, -1))
     trace = tracer.trace(ray).trace
+    node_at = _node_by_address(tracer.bvh)
     for step in trace.steps:
-        node = tracer.bvh.node_at_address(step.address)
+        node = node_at[step.address]
         if step.kind is NodeKind.LEAF:
-            assert step.tests == len(node.prim_ids)
+            assert step.tests == tracer.bvh.prim_count[node]
         else:
-            assert step.tests == node.child_count
+            assert step.tests == tracer.bvh.child_count[node]
 
 
 def test_ray_metadata_propagates(tracer):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bvh.escape import NO_NODE
+from repro.bvh.builder import NO_NODE
 from repro.bvh.layout import assign_addresses
 from repro.core.api import time_traces
 from repro.errors import StackError
@@ -17,8 +17,7 @@ from repro.traversal.stackless import EscapeTracer, StacklessState
 def _fuzz_rays(bvh, count, seed):
     """Rays from random origins through random points of the scene AABB."""
     rng = np.random.default_rng(seed)
-    root = bvh.nodes[bvh.root].bounds
-    lo, hi = np.asarray(root.lo), np.asarray(root.hi)
+    lo, hi = bvh.lo[bvh.root], bvh.hi[bvh.root]
     span = hi - lo
     rays = []
     for _ in range(count):
@@ -54,53 +53,51 @@ def test_any_hit_agrees_on_occlusion(deep_bvh):
         assert got.hit == want.hit
 
 
-# -- escape-index structure ----------------------------------------------
+# -- escape-link structure -----------------------------------------------
 
 
 def test_escape_index_covers_layout_dfs(small_bvh):
-    links = small_bvh.escape()
-    order = links.dfs_order(small_bvh.root)
-    assert sorted(order) == list(range(len(small_bvh.nodes)))
-    # The escape chain from the DFS-first node visits every node once:
-    # exhaustive traversal (all boxes hit) is exactly the static order.
+    escape = small_bvh.escape()
+    # Following first_child on hit and escape otherwise, with every box
+    # hit, visits each node once in exactly the layout's depth-first
+    # (address) order: exhaustive traversal is the static order.
     visited = []
     current = small_bvh.root
     while current != NO_NODE:
         visited.append(current)
-        child = links.first_child[current]
-        current = child if child != NO_NODE else links.escape[current]
-    assert visited == order
+        child = int(small_bvh.first_child[current])
+        current = child if child != NO_NODE else escape[current]
+    assert sorted(visited) == list(range(small_bvh.node_count))
+    assert visited == sorted(visited, key=lambda index: small_bvh.address[index])
 
 
 def test_root_escapes_to_termination(small_bvh):
-    links = small_bvh.escape()
-    assert links.escape[small_bvh.root] == NO_NODE
+    assert small_bvh.escape()[small_bvh.root] == NO_NODE
 
 
 def test_leaves_have_no_first_child(small_bvh):
-    links = small_bvh.escape()
-    for index, node in enumerate(small_bvh.nodes):
-        if node.is_leaf:
-            assert links.first_child[index] == NO_NODE
+    for index in range(small_bvh.node_count):
+        if small_bvh.child_count[index] == 0:
+            assert small_bvh.first_child[index] == NO_NODE
         else:
-            assert links.first_child[index] != NO_NODE
+            assert small_bvh.first_child[index] != NO_NODE
 
 
-# -- derived-structure invalidation (shared with the SoA mirror) ----------
+# -- per-BVH caches shared by every tracer --------------------------------
 
 
-def test_assign_addresses_invalidates_escape_and_soa(small_scene):
+def test_escape_links_and_triangles_are_built_once_per_bvh(small_scene):
     from repro.bvh.api import build_bvh
 
     bvh = build_bvh(small_scene)
-    soa_before, escape_before = bvh.soa(), bvh.escape()
-    # Cached until the layout changes ...
-    assert bvh.soa() is soa_before
-    assert bvh.escape() is escape_before
+    escape, triangles = bvh.escape(), bvh.triangles()
+    assert EscapeTracer(bvh).escape is escape
+    assert EscapeTracer(bvh).tris is triangles
+    assert Tracer(bvh).tris is triangles
+    # Neither depends on addresses, so a new layout keeps both.
     assign_addresses(bvh)
-    # ... then both derived structures rebuild together.
-    assert bvh.soa() is not soa_before
-    assert bvh.escape() is not escape_before
+    assert bvh.escape() is escape
+    assert bvh.triangles() is triangles
 
 
 # -- the no-stack lane state ---------------------------------------------

@@ -50,17 +50,21 @@ def tree_digest(scene, strategy: str) -> str:
     wide = collapse_to_wide(binary, width=DEFAULT_WIDTH)
     assign_addresses(wide)
     h = hashlib.sha256()
-    for node in wide.nodes:
+    first = wide.first_child.tolist()
+    count = wide.child_count.tolist()
+    rows = zip(first, count, wide.depth.tolist(), wide.address.tolist(), wide.size_bytes.tolist())
+    for index, (f, c, depth, address, size_bytes) in enumerate(rows):
+        prims = list(wide.leaf_prims(index))
         record = (
-            node.index, node.children, node.depth, node.address,
-            node.size_bytes, [int(p) for p in node.prim_ids],
-            sorted({type(p).__name__ for p in node.prim_ids}),
+            index, list(range(f, f + c)), depth, address, size_bytes,
+            [int(p) for p in prims], sorted({type(p).__name__ for p in prims}),
         )
         h.update(repr(record).encode())
-        _update_array(h, node.bounds.lo)
-        _update_array(h, node.bounds.hi)
-    for array in wide.child_los + wide.child_his:
-        _update_array(h, array)
+        _update_array(h, wide.lo[index])
+        _update_array(h, wide.hi[index])
+    for bounds in (wide.lo, wide.hi):
+        for f, c in zip(first, count):
+            _update_array(h, bounds[f : f + c])
     h.update(f"total={wide.total_bytes}".encode())
     _update_array(h, binary.prim_order)
     return h.hexdigest()
